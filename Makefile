@@ -15,19 +15,14 @@ cross-check:
 
 # Verdict cross-check along the reduction axis: the dedicated source-DPOR
 # suite re-verifies every Faulty.* and positive scenario against the
-# unpruned engine (verdict and replayed witness), then the scenario /
-# verify / fault / timeout suites re-run with CAL_EXPLORE_STRATEGY=dpor so
-# every obligation check in them decides with the DPOR engine instead of
-# the DFS. The full suite is deliberately not run under the override: the
-# strategy engines ignore the legacy preemption_bound, so suites that
-# lean on bounded DFS for their largest scenarios would explore the full
-# unbounded space.
+# unpruned engine (verdict and replayed witness), then the whole suite
+# re-runs with CAL_EXPLORE_STRATEGY=dpor so every obligation check that
+# does not choose its own strategy decides with the DPOR engine instead
+# of the DFS. Bounded checks pass their bound as an explicit strategy,
+# which the override never replaces.
 cross-check-dpor:
-	dune exec test/test_dpor.exe
-	CAL_EXPLORE_STRATEGY=dpor dune exec test/test_scenarios.exe
-	CAL_EXPLORE_STRATEGY=dpor dune exec test/test_verify.exe
-	CAL_EXPLORE_STRATEGY=dpor dune exec test/test_faults.exe
-	CAL_EXPLORE_STRATEGY=dpor dune exec test/test_timeouts.exe
+	dune exec ./test/test_dpor.exe
+	CAL_EXPLORE_STRATEGY=dpor dune runtest --force
 
 # Verdict cross-check along the domain axis: the whole suite must pass
 # identically with every exploration spread over two worker domains and

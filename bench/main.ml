@@ -116,15 +116,17 @@ let b3 =
       (Staged.stage (fun () ->
            ignore
              (Conc.Explore.exhaustive ~setup:trio.setup ~fuel:trio.fuel
-                ~preemption_bound:2
+                ~strategy:(Conc.Explore.Preemption_bounded { bound = 2 })
                 ~f:(fun _ -> ())
                 ())));
     Test.make ~name:"explore/random-100-runs"
       (Staged.stage (fun () ->
-           ignore
-             (Conc.Explore.random ~setup:trio.setup ~fuel:trio.fuel ~runs:100 ~seed:3L
-                ~f:(fun _ -> ())
-                ())));
+           let rng = Conc.Rng.create ~seed:3L in
+           for _ = 1 to 100 do
+             ignore
+               (Conc.Sampler.run ~kind:Conc.Sampler.Random_walk
+                  ~setup:trio.setup ~fuel:trio.fuel ~rng ())
+           done));
   ]
 
 (* B5 — modularity payoff: verifying the elimination stack against the
@@ -206,7 +208,7 @@ let b8 =
   let verify (s : S.t) () =
     ignore
       (Verify.Obligations.check_object ~setup:s.setup ~spec:s.spec ~view:s.view
-         ~fuel:s.fuel ?preemption_bound:s.bound ())
+         ~fuel:s.fuel ?strategy:(S.strategy s) ())
   in
   [
     Test.make ~name:"blocking/dual-queue-enq-deq"
@@ -416,10 +418,12 @@ let figure_timeouts () =
    fuel × preemption-bound grid. The headline column is steps-executed:
    the replay engine re-runs the whole prefix at every DFS node
    (O(nodes × depth)); the incremental engine pays one step per tree edge
-   plus a single prefix replay per backtrack (O(runs × depth)). Identical
-   run counts between the two unpruned engines are asserted here — the
-   speedup must not change what is explored. Results land in
-   BENCH_explore.json. *)
+   plus a single prefix replay per backtrack (O(runs × depth)). Bounded
+   cells compare the replay engine's single-pass preemption bound with the
+   walker's level loop (bounded levels never prune, so they have no pruned
+   row). Identical run counts between the two unpruned engines are
+   asserted here — the speedup must not change what is explored. Results
+   land in BENCH_explore.json. *)
 let figure_explore () =
   let scenarios =
     [ S.exchanger_pair (); S.elim_stack_push_pop ~k:1 () ]
@@ -440,13 +444,20 @@ let figure_explore () =
                   let t0 = Sys.time () in
                   let c =
                     Workloads.Metrics.explore_cost ~engine ~setup:s.setup ~fuel
-                      ?preemption_bound:bound ()
+                      ()
                   in
                   (c, (Sys.time () -. t0) *. 1000.)
                 in
-                let replay, replay_ms = cost `Replay in
-                let incr_, incr_ms = cost `Incremental in
-                let pruned, pruned_ms = cost `Pruned in
+                (* bounded rows: the oracle's single-pass bound against the
+                   walker's level loop (bounded levels never prune) *)
+                let costs =
+                  List.map cost
+                    (match bound with
+                    | None -> [ `Replay; `Incremental; `Pruned ]
+                    | Some b -> [ `Replay_bounded b; `Preemption_bounded b ])
+                in
+                let replay = fst (List.nth costs 0)
+                and incr_ = fst (List.nth costs 1) in
                 if replay.explored_runs <> incr_.explored_runs then
                   Fmt.failwith
                     "B12: engine mismatch on %s fuel=%d: replay %d runs vs \
@@ -460,15 +471,12 @@ let figure_explore () =
                     Fmt.pr "%-26s %5d %6s %-18s %8d %10d %10d %8.1f@." s.name
                       fuel bound_str c.engine c.explored_runs c.nodes
                       c.steps_executed ms)
-                  [ (replay, replay_ms); (incr_, incr_ms); (pruned, pruned_ms) ];
+                  costs;
                 Fmt.pr "%-26s %5d %6s %-18s %8s %10s %9.1fx@." s.name fuel
                   bound_str "(steps ratio)" "" ""
                   (float_of_int replay.steps_executed
                   /. float_of_int (max 1 incr_.steps_executed));
-                List.map
-                  (fun ((c : Workloads.Metrics.explore_cost), ms) ->
-                    (s.S.name, fuel, bound, c, ms))
-                  [ (replay, replay_ms); (incr_, incr_ms); (pruned, pruned_ms) ])
+                List.map (fun (c, ms) -> (s.S.name, fuel, bound, c, ms)) costs)
               bounds)
           fuels)
       scenarios
@@ -715,7 +723,12 @@ let figure_parallel () =
       let t0 = Unix.gettimeofday () in
       let r =
         Verify.Obligations.check_black_box ~domains ~cache ~setup:s.setup
-          ~spec:s.spec ~fuel ?preemption_bound:bound ()
+          ~spec:s.spec ~fuel
+          ?strategy:
+            (Option.map
+               (fun bound -> Conc.Explore.Preemption_bounded { bound })
+               bound)
+          ()
       in
       (r, (Unix.gettimeofday () -. t0) *. 1000.)
     in

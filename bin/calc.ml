@@ -52,16 +52,16 @@ let max_runs_arg =
 
 let verify_scenario ~mode ?max_runs ~fuel (s : S.t) =
   let fuel = Option.value fuel ~default:s.fuel in
-  let preemption_bound = s.bound in
+  let strategy = S.strategy s in
   let t0 = Unix.gettimeofday () in
   let report =
     match mode with
     | `Obligations ->
         Verify.Obligations.check_object ~setup:s.setup ~spec:s.spec ~view:s.view ~fuel
-          ?max_runs ?preemption_bound ()
+          ?max_runs ?strategy ()
     | `Black_box ->
         Verify.Obligations.check_black_box ~setup:s.setup ~spec:s.spec ~fuel ?max_runs
-          ?preemption_bound ()
+          ?strategy ()
   in
   let dt = Unix.gettimeofday () -. t0 in
   pr "%-32s %a%s  (%.2fs)@." s.name Verify.Obligations.pp_report report
@@ -254,7 +254,8 @@ let explore_cmd =
         for b = 0 to max_bound do
           let t0 = Unix.gettimeofday () in
           let stats =
-            Conc.Explore.exhaustive ~setup:s.setup ~fuel:s.fuel ~preemption_bound:b
+            Conc.Explore.exhaustive ~setup:s.setup ~fuel:s.fuel
+              ~strategy:(Conc.Explore.Preemption_bounded { bound = b })
               ~max_runs:2_000_000
               ~f:(fun _ -> ())
               ()
@@ -282,7 +283,11 @@ let outline_cmd =
       Verify.Proof_outline.check_program
         ~values:(List.map Value.int values)
         ~fuel:(30 * List.length values)
-        ?preemption_bound:bound ()
+        ?strategy:
+          (Option.map
+             (fun bound -> Conc.Explore.Preemption_bounded { bound })
+             bound)
+        ()
     in
     pr "%a@." Verify.Proof_outline.pp_report report;
     if Verify.Proof_outline.ok report then `Ok ()

@@ -40,7 +40,7 @@ let e1 ppf =
    trio within a preemption bound of 4 (16M unbounded interleavings).
    Distinct histories are checked once. *)
 let e2 ppf =
-  let examine ?preemption_bound (s : S.t) =
+  let examine (s : S.t) =
     let distinct : (string, Cal.History.t * bool) Hashtbl.t = Hashtbl.create 512 in
     let runs = ref 0 in
     let f (o : Conc.Runner.outcome) =
@@ -51,7 +51,8 @@ let e2 ppf =
         Hashtbl.replace distinct key (o.history, swapped)
     in
     let _stats =
-      Conc.Explore.exhaustive ~setup:s.setup ~fuel:s.fuel ?preemption_bound ~f ()
+      Conc.Explore.exhaustive ~setup:s.setup ~fuel:s.fuel
+        ?strategy:(S.strategy s) ~f ()
     in
     let total = Hashtbl.length distinct in
     let cal_ok = ref 0 in
@@ -69,7 +70,7 @@ let e2 ppf =
     timed (fun () -> examine (S.exchanger_pair ()))
   in
   let (runs_t, tot_t, cal_t, lin_t, free_t), dt_t =
-    timed (fun () -> examine ~preemption_bound:4 (S.exchanger_trio ()))
+    timed (fun () -> examine (S.exchanger_trio ()))
   in
   let measured =
     Fmt.str
@@ -93,7 +94,9 @@ let e3 ppf =
   in
   let report, dt =
     timed (fun () ->
-        Verify.Exchanger_proof.check_program ~threads ~fuel:90 ~preemption_bound:3 ())
+        Verify.Exchanger_proof.check_program ~threads ~fuel:90
+          ~strategy:(Conc.Explore.Preemption_bounded { bound = 3 })
+          ())
   in
   let pair_report, pair_dt =
     timed (fun () ->
@@ -119,14 +122,12 @@ let e3 ppf =
     ~measured
     ~ok:(Verify.Exchanger_proof.ok report && Verify.Exchanger_proof.ok pair_report)
 
-let check_scenario ppf ~id ~claim ?max_runs ?preemption_bound (s : S.t) =
-  let preemption_bound =
-    match preemption_bound with Some _ as b -> b | None -> s.bound
-  in
+let check_scenario ppf ~id ~claim ?max_runs ?bound (s : S.t) =
+  let s = if bound = None then s else { s with bound } in
   let report, dt =
     timed (fun () ->
         Verify.Obligations.check_object ~setup:s.setup ~spec:s.spec ~view:s.view
-          ~fuel:s.fuel ?max_runs ?preemption_bound ())
+          ~fuel:s.fuel ?max_runs ?strategy:(S.strategy s) ())
   in
   let measured =
     Fmt.str "%s: %d runs (%d complete), %d problems%s (%.1fs)" s.name report.runs
@@ -149,7 +150,9 @@ let e3b ppf =
     timed (fun () ->
         Verify.Proof_outline.check_program
           ~values:[ Value.int 3; Value.int 4; Value.int 7 ]
-          ~fuel:90 ~preemption_bound:3 ())
+          ~fuel:90
+          ~strategy:(Conc.Explore.Preemption_bounded { bound = 3 })
+          ())
   in
   let measured =
     Fmt.str
@@ -176,10 +179,10 @@ let e5 ppf =
   let claim = "elimination stack meets the sequential stack spec through F_ES" in
   ignore (check_scenario ppf ~id:"E5/ES-push-pop" ~claim (S.elim_stack_push_pop ~k:1 ()));
   ignore
-    (check_scenario ppf ~id:"E5/ES-lifo" ~claim ~preemption_bound:2
+    (check_scenario ppf ~id:"E5/ES-lifo" ~claim ~bound:2
        (S.elim_stack_sequential_then_pop ~k:1));
   ignore
-    (check_scenario ppf ~id:"E5/ES-2x2" ~claim ~preemption_bound:2
+    (check_scenario ppf ~id:"E5/ES-2x2" ~claim ~bound:2
        (S.elim_stack_two_two ~k:1 ()))
 
 (* E6 — §5 modularity: substituting the abstract exchanger preserves the
@@ -219,7 +222,7 @@ let e7 ppf =
   let claim = "synchronous queue meets its CA-spec (rendezvous elements) via F_SQ" in
   ignore (check_scenario ppf ~id:"E7/SQ-pair" ~claim (S.sync_queue_pair ()));
   ignore
-    (check_scenario ppf ~id:"E7/SQ-2put" ~claim ~preemption_bound:3
+    (check_scenario ppf ~id:"E7/SQ-2put" ~claim ~bound:3
        (S.sync_queue_two_producers ()));
   ignore (check_scenario ppf ~id:"E7/DQ-pair" ~claim:"dual queue: fulfilment is one CA-element" (S.dual_queue_enq_deq ()));
   ignore

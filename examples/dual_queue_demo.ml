@@ -64,6 +64,6 @@ let () =
   let sc = S.elim_queue_fifo () in
   let report =
     Verify.Obligations.check_object ~setup:sc.setup ~spec:sc.spec ~view:sc.view
-      ~fuel:sc.fuel ?preemption_bound:sc.bound ()
+      ~fuel:sc.fuel ?strategy:(S.strategy sc) ()
   in
   Fmt.pr "%-28s %a@." sc.name Verify.Obligations.pp_report report

@@ -62,6 +62,8 @@ let () =
   let sc2 = S.elim_stack_sequential_then_pop ~k:1 in
   let report2 =
     Verify.Obligations.check_object ~setup:sc2.setup ~spec:sc2.spec ~view:sc2.view
-      ~fuel:sc2.fuel ~preemption_bound:2 ()
+      ~fuel:sc2.fuel
+      ~strategy:(Conc.Explore.Preemption_bounded { bound = 2 })
+      ()
   in
   Fmt.pr "LIFO scenario (<=2 preemptions): %a@." Verify.Obligations.pp_report report2

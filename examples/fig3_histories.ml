@@ -36,7 +36,7 @@ let () =
   let distinct = Hashtbl.create 128 in
   let sample = ref None in
   let stats =
-    Conc.Explore.exhaustive ~setup:s.setup ~fuel:s.fuel ?preemption_bound:s.bound
+    Conc.Explore.exhaustive ~setup:s.setup ~fuel:s.fuel ?strategy:(S.strategy s)
       ~f:(fun o ->
         Hashtbl.replace distinct (History.show o.history) o.history;
         (* keep one history where a swap actually happened, for display *)

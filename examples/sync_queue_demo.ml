@@ -36,7 +36,7 @@ let () =
     (fun (sc : S.t) ->
       let report =
         Verify.Obligations.check_object ~setup:sc.setup ~spec:sc.spec ~view:sc.view
-          ~fuel:sc.fuel ?preemption_bound:sc.bound ()
+          ~fuel:sc.fuel ?strategy:(S.strategy sc) ()
       in
       Fmt.pr "%-28s %a@." sc.name Verify.Obligations.pp_report report)
     [ S.sync_queue_pair (); S.sync_queue_two_producers () ];

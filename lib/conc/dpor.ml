@@ -1,7 +1,5 @@
 (* Source-DPOR (Abdulla, Aronis, Jonsson, Sagonas, POPL'14) over the
-   incremental execution API, plus the preemption/delay-bounded
-   iterative-deepening searches that layer schedule bounding on top of
-   plain enumeration (dejafu's sctPreBound/sctDelayBound shape).
+   incremental execution API.
 
    The DPOR engine explores one interleaving per Mazurkiewicz trace of the
    (over-approximated) dependence relation from {!Deps}: instead of
@@ -15,14 +13,12 @@
    verdicts: every pruned schedule is Mazurkiewicz-equivalent to a
    delivered one, with byte-identical history, trace and results.
 
-   Both engines can be rooted at a schedule [prefix]: the root-split
+   The engine can be rooted at a schedule [prefix]: the root-split
    composition ({!Explore.exhaustive_strategy}) fully expands the root
    frontier and hands each root decision to one rank-ordered task, so the
    parallel merge is deterministic and race reversals never need to reach
    into a frozen prefix node (the root is already fully expanded — a
    superset of any backtrack set). *)
-
-type cost_model = Preemption | Delay
 
 (* ---------------------------------------------------------- source-DPOR -- *)
 
@@ -48,7 +44,7 @@ let classify ~thread ~n_decisions ~label ~recorded =
   if n_decisions > 1 then Deps.pure_eff ~thread
   else Deps.effect_of ~thread ~label ~recorded
 
-let source ~restart ~fuel ?max_runs ?(prefix = []) ?gate ?abort ~f () =
+let source ~restart ~fuel ?max_runs ?(prefix = []) ?gate ~f () =
   let exec = ref (restart ()) in
   let runs = ref 0 and truncated = ref false and max_steps = ref 0 in
   let nodes = ref 0 and replayed = ref 0 in
@@ -141,9 +137,6 @@ let source ~restart ~fuel ?max_runs ?(prefix = []) ?gate ?abort ~f () =
     | _ -> ()
   in
   let rec explore ~depth ~prefix_rev ~tracker ~sleep ~frontier =
-    (match abort with
-    | Some stop when stop () -> raise Engine.Abandoned
-    | _ -> ());
     incr nodes;
     if frontier = [] || depth >= fuel then deliver ()
     else begin
@@ -262,7 +255,7 @@ let source ~restart ~fuel ?max_runs ?(prefix = []) ?gate ?abort ~f () =
        ~prefix_rev:(List.rev prefix)
        ~tracker:!tracker ~sleep:[]
        ~frontier:(Runner.frontier !exec)
-   with Engine.Stop | Engine.Abandoned -> ());
+   with Engine.Stop -> ());
   {
     Engine.empty_stats with
     runs = !runs;
@@ -273,123 +266,4 @@ let source ~restart ~fuel ?max_runs ?(prefix = []) ?gate ?abort ~f () =
     sleep_pruned = !slept;
     races_found = !races;
     backtrack_points = !backtracks;
-  }
-
-(* ------------------------------------- bounded iterative deepening ------ *)
-
-(* Full enumeration within a schedule-cost budget, deepened level by level:
-   level c delivers exactly the runs whose cost is c, so the union over
-   c = 0..bound partitions the bounded run set with no duplicate delivery
-   and first-failure order = (cost, DFS) lexicographic. An edge is counted
-   in [bound_hits] only when the final level cuts it — if the whole space
-   fits inside the bound, the search was complete and reports
-   [bounded = false]. *)
-let bounded ~cost ~bound ~restart ~fuel ?max_runs ?(prefix = []) ?gate ?abort
-    ~f () =
-  let exec = ref (restart ()) in
-  let runs = ref 0 and truncated = ref false and max_steps = ref 0 in
-  let nodes = ref 0 and replayed = ref 0 in
-  let bound_hits = ref 0 in
-  let deliver () =
-    (match gate with
-    | Some admit when not (admit ()) ->
-        truncated := true;
-        raise Engine.Stop
-    | _ -> ());
-    let o = Runner.outcome !exec in
-    f o;
-    incr runs;
-    if o.Runner.steps > !max_steps then max_steps := o.Runner.steps;
-    match max_runs with
-    | Some m when !runs >= m ->
-        truncated := true;
-        raise Engine.Stop
-    | _ -> ()
-  in
-  let ensure_at depth prefix_rev =
-    if Runner.steps_done !exec <> depth then begin
-      let e = restart () in
-      List.iter (fun d -> ignore (Runner.step e d)) (List.rev prefix_rev);
-      replayed := !replayed + depth;
-      exec := e
-    end
-  in
-  let thread_enabled t frontier =
-    List.exists (fun (x : Runner.decision) -> x.thread = t) frontier
-  in
-  (* Preemption: +1 when the last thread could continue but another runs
-     (the accounting of the existing ?preemption_bound engine). Delay: +1
-     when the chosen thread deviates from the default continuation — the
-     last thread if still enabled, else the first enabled thread. Branch
-     choices of the default thread are data nondeterminism, not scheduler
-     deviations: cost 0. *)
-  let edge_cost ~last ~frontier (d : Runner.decision) =
-    match cost with
-    | Preemption ->
-        let last_enabled =
-          match last with Some t -> thread_enabled t frontier | None -> false
-        in
-        if last_enabled && Some d.thread <> last then 1 else 0
-    | Delay ->
-        let default_thread =
-          match last with
-          | Some t when thread_enabled t frontier -> t
-          | _ -> (List.hd frontier).Runner.thread
-        in
-        if d.thread = default_thread then 0 else 1
-  in
-  (* replay the prefix, accumulating its cost under the same model *)
-  let used0 = ref 0 and last0 = ref None in
-  List.iter
-    (fun (d : Runner.decision) ->
-      let frontier = Runner.frontier !exec in
-      used0 := !used0 + edge_cost ~last:!last0 ~frontier d;
-      ignore (Runner.step !exec d);
-      last0 := Some d.thread;
-      replayed := !replayed + 1)
-    prefix;
-  let depth0 = List.length prefix in
-  let prefix_rev0 = List.rev prefix in
-  let rec go ~level ~depth ~prefix_rev ~last ~used =
-    (match abort with
-    | Some stop when stop () -> raise Engine.Abandoned
-    | _ -> ());
-    incr nodes;
-    let frontier = Runner.frontier !exec in
-    if frontier = [] || depth >= fuel then begin
-      if used = level then deliver ()
-    end
-    else
-      List.iter
-        (fun (d : Runner.decision) ->
-          let used' = used + edge_cost ~last ~frontier d in
-          if used' > level then begin
-            if level = bound then incr bound_hits
-          end
-          else begin
-            ensure_at depth prefix_rev;
-            ignore (Runner.step !exec d);
-            go ~level ~depth:(depth + 1) ~prefix_rev:(d :: prefix_rev)
-              ~last:(Some d.thread) ~used:used'
-          end)
-        frontier
-  in
-  (try
-     for level = 0 to bound do
-       if !used0 <= level then begin
-         ensure_at depth0 prefix_rev0;
-         go ~level ~depth:depth0 ~prefix_rev:prefix_rev0 ~last:!last0
-           ~used:!used0
-       end
-     done
-   with Engine.Stop | Engine.Abandoned -> ());
-  {
-    Engine.empty_stats with
-    runs = !runs;
-    truncated = !truncated;
-    max_steps = !max_steps;
-    nodes = !nodes;
-    replayed_steps = !replayed;
-    bound_hits = !bound_hits;
-    bounded = !bound_hits > 0;
   }

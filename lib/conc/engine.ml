@@ -1,25 +1,27 @@
-(* The incremental DFS core shared by the sequential ({!Explore}) and
-   parallel ({!Par_explore}) exploration fronts.
+(* The one schedule-tree walker under every exhaustive search ({!Explore},
+   the work-stealing pool of {!Par_explore}, and every bounded level).
 
-   One engine under every checker. The DFS keeps a single live execution
-   and descends by {!Runner.step} — O(1) per tree edge. Backtracking to a
-   sibling re-establishes the branch point with one prefix replay (the
-   shared heap the program mutates cannot be checkpointed, so it is
-   rebuilt by re-execution): the total work is O(runs × depth) program
-   steps, against O(nodes × depth) for the seed's whole-prefix-replay
-   engine. Per-path checker state (the liveness idle counters) is threaded
-   through [step_path]/[leaf] as immutable values cloned on branch.
+   The walker keeps a single live execution and descends by {!Runner.step}
+   — O(1) per tree edge. Backtracking to a sibling re-establishes the
+   branch point with one prefix replay (the shared heap the program
+   mutates cannot be checkpointed, so it is rebuilt by re-execution): the
+   total work is O(runs × depth) program steps, against O(nodes × depth)
+   for the seed's whole-prefix-replay engine. Per-path checker state (the
+   liveness idle counters) is threaded through [step_path]/[leaf] as
+   immutable values cloned on branch.
 
-   For the parallel front the DFS is rooted at an arbitrary schedule
-   prefix: the subtree task carries the [prefix] decisions together with
-   the scheduling state accumulated along it — the last-scheduled thread
-   ([last0]), the preemption count ([preemptions0]) and the sleep set
-   ([sleep0]) — so a task explores exactly the subtree the sequential
-   engine would have explored below that node. Two cross-domain hooks
-   replace the local [max_runs] accounting there: [gate] is consulted
-   before every delivery (a shared atomic run budget; refusal truncates),
-   and [abort] before every node (the best-failure bound of the
-   deterministic first-failure merge; refusal abandons the task). *)
+   The open nodes live on an explicit frame stack (one frame per node: the
+   branches not yet descended plus the node's scheduling state) so that a
+   donation hook can hand the shallowest frame's remaining branches to an
+   idle worker as a {!chunk}, which the claimer resumes mid-iteration.
+   Without a hook (the sequential front) the stack only mirrors the call
+   stack.
+
+   A schedule bound is one [level] of a cost model: the walker delivers
+   exactly the runs whose cost equals the level and counts every edge the
+   level cuts in [bound_hits]; {!Explore} runs levels [0..bound] around it
+   (iterative deepening, so delivery order is (cost, DFS) lexicographic).
+   Bounded levels never prune. *)
 
 type stats = {
   runs : int;
@@ -92,6 +94,8 @@ let merge_stats a b =
 exception Stop
 exception Abandoned
 
+type cost_model = Preemption | Delay
+
 (* ------------------------------------------------- pruning controls --- *)
 
 let env_flag v =
@@ -128,9 +132,72 @@ let independent ((d1 : Runner.decision), l1) ((d2 : Runner.decision), l2) =
 
 let threads_of exec = Array.length (Runner.outcome exec).Runner.results
 
-(* --------------------------------------------- incremental DFS engine -- *)
+(* ------------------------------------------------------------ walker -- *)
 
-(* With [prune] set, two reductions apply, both counted in the stats:
+type labelled = Runner.decision * string
+
+(* One open node. A donated chunk is a copy of a frame that owns the
+   donor's remaining branches; the claimer replays [fr_prefix_rev] and
+   resumes the iteration exactly where the donor would have. *)
+type 'path frame = {
+  fr_depth : int;
+  fr_prefix_rev : Runner.decision list;
+  fr_rank_rev : int list;
+      (* branch-index path from the root, newest first (donating walks
+         only) *)
+  fr_frontier : Runner.frontier;
+  fr_path : 'path;
+  fr_default : int option;
+      (* the default continuation under the cost model: choosing any other
+         thread costs 1; [None] makes every choice free *)
+  fr_used : int;  (* schedule cost spent reaching this node *)
+  fr_sleep : labelled list;
+  mutable fr_explored : labelled list;
+      (* descended siblings, newest first (pruning walks only) *)
+  mutable fr_rest : Runner.frontier;
+  mutable fr_next : int;  (* branch index of [hd fr_rest] *)
+}
+
+type 'path chunk = 'path frame
+
+let chunk_rank c = List.rev (c.fr_next :: c.fr_rank_rev)
+
+type 'path donor = {
+  hungry : unit -> bool;
+  donate : 'path chunk -> unit;
+  abandoned : unit -> bool;
+}
+
+(* Preemption: the last thread, when still enabled, is the free
+   continuation; with it disabled every choice is free. Delay: the last
+   thread if enabled, else the first enabled thread. Branch choices of the
+   default thread are data nondeterminism, not deviations: cost 0. *)
+let default_thread model ~last (frontier : Runner.frontier) =
+  let enabled t =
+    List.exists (fun (d : Runner.decision) -> d.thread = t) frontier
+  in
+  match (last, model) with
+  | Some t, _ when enabled t -> Some t
+  | _, Preemption -> None
+  | _, Delay -> (
+      match frontier with d :: _ -> Some d.Runner.thread | [] -> None)
+
+let edge_cost default (d : Runner.decision) =
+  match default with Some t when t <> d.thread -> 1 | _ -> 0
+
+let schedule_cost model exec schedule =
+  let _, cost =
+    List.fold_left
+      (fun (last, cost) (d : Runner.decision) ->
+        let default = default_thread model ~last (Runner.frontier exec) in
+        ignore (Runner.step exec d);
+        (Some d.thread, cost + edge_cost default d))
+      (None, 0) schedule
+  in
+  cost
+
+(* With [prune] set (unbounded walks only), two reductions apply, both
+   counted in the stats:
    - fingerprint memoization: a node whose {!Runner.fingerprint} was
      already visited is cut off (its subtree was explored from the
      equivalent state);
@@ -139,21 +206,23 @@ let threads_of exec = Array.length (Runner.outcome exec).Runner.results
      dependent (non-commuting) step wakes it — the classic partial-order
      argument that exploring [d1;d2] and [d2;d1] twice is redundant when
      the two steps commute. *)
-let dfs ~restart ~fuel ?max_runs ?preemption_bound ~prune ?(prefix = [])
-    ?last0 ?(preemptions0 = 0) ?(sleep0 = []) ?gate ?abort ~init_path
-    ~step_path ~leaf () =
+let dfs ~restart ~fuel ?max_runs ~prune ?level ?gate ?donor ?resume
+    ~init_path ~step_path ~leaf () =
+  let prune = prune && Option.is_none level in
   let exec = ref (restart ()) in
   let runs = ref 0 and truncated = ref false and max_steps = ref 0 in
   let nodes = ref 0 and replayed = ref 0 in
-  let fp_hits = ref 0 and slept = ref 0 in
+  let fp_hits = ref 0 and slept = ref 0 and bound_hits = ref 0 in
   let memo : (string, unit) Hashtbl.t =
     if prune then
       Hashtbl.create
         (Cal.Tuning.explore_memo_size ~fuel ~threads:(threads_of !exec))
     else Hashtbl.create 1
   in
-  let within_budget used =
-    match preemption_bound with None -> true | Some b -> used <= b
+  let grain =
+    match donor with
+    | Some _ -> Cal.Tuning.explore_donation_min_height ()
+    | None -> 0
   in
   let deliver frontier path =
     (match gate with
@@ -182,77 +251,157 @@ let dfs ~restart ~fuel ?max_runs ?preemption_bound ~prune ?(prefix = [])
       exec := e
     end
   in
-  let rec node ~prefix_rev ~depth ~last ~preemptions ~sleep ~path =
-    (match abort with Some stop when stop () -> raise Abandoned | _ -> ());
-    incr nodes;
-    let frontier = Runner.frontier !exec in
-    if frontier = [] || depth >= fuel then deliver frontier path
-    else begin
-      let pruned_here =
-        prune
-        &&
-        let fp = Runner.fingerprint !exec in
-        if Hashtbl.mem memo fp then true
-        else begin
-          Hashtbl.add memo fp ();
-          false
-        end
-      in
-      if pruned_here then incr fp_hits
-      else begin
-        let labelled =
-          List.map
-            (fun (d : Runner.decision) ->
-              (d, Option.value ~default:"" (Runner.head_label !exec d.thread)))
-            frontier
-        in
-        let last_enabled =
-          List.exists (fun (d : Runner.decision) -> Some d.thread = last) frontier
-        in
-        let explored = ref [] in
-        List.iter
-          (fun ((d : Runner.decision), l) ->
-            let cost =
-              if last_enabled && Some d.thread <> last then preemptions + 1
-              else preemptions
-            in
-            if within_budget cost then begin
-              if
-                prune
-                && List.exists
-                     (fun ((s : Runner.decision), _) ->
-                       s.thread = d.thread && s.branch = d.branch)
-                     sleep
-              then incr slept
-              else begin
-                ensure_at depth prefix_rev;
-                let path' = step_path path frontier d in
-                ignore (Runner.step !exec d);
-                let sleep' =
-                  if prune then
-                    List.filter
-                      (fun s -> independent s (d, l))
-                      (sleep @ List.rev !explored)
-                  else []
-                in
-                node ~prefix_rev:(d :: prefix_rev) ~depth:(depth + 1)
-                  ~last:(Some d.thread) ~preemptions:cost ~sleep:sleep'
-                  ~path:path';
-                explored := (d, l) :: !explored
-              end
-            end)
-          labelled
-      end
+  let abandoned () =
+    match donor with Some dn -> dn.abandoned () | None -> false
+  in
+  (* Only a donating walk keeps its open frames in an array (donation
+     scans it); a sequential walk's frames live on the call stack alone,
+     so no write barrier promotes them out of the minor heap. *)
+  let donating = Option.is_some donor in
+  let frames = ref [||] and ntop = ref 0 in
+  let push fr =
+    if donating then begin
+      let arr = !frames in
+      let cap = Array.length arr in
+      if !ntop >= cap then begin
+        let arr' = Array.make (max 16 (2 * cap)) fr in
+        Array.blit arr 0 arr' 0 cap;
+        frames := arr'
+      end;
+      !frames.(!ntop) <- fr;
+      incr ntop
     end
   in
-  let depth0 = List.length prefix in
-  if depth0 > 0 then begin
-    List.iter (fun d -> ignore (Runner.step !exec d)) prefix;
-    replayed := !replayed + depth0
-  end;
+  let pop () = if donating then decr ntop in
+  (* A walk donates only after it has descended at least one edge. Without
+     this, a freshly claimed chunk whose owner sees a hungry peer donates
+     its {e entire} branch list back to the pool before doing any work —
+     and with several workers timesharing few cores the chunk circulates
+     as a hot potato, each hop burning a full prefix replay while one
+     worker does all the real work. Requiring one descended edge first
+     makes every hop shrink the interval, so total donations are bounded
+     by the tree's edge count. *)
+  let started = ref false in
+  (* Donate the shallowest frame's remaining branches — the canonical tail
+     of this walk's remaining work. Frames whose subtree height is below
+     the grain are skipped: handing out a few leaves costs more than
+     running them. *)
+  let maybe_donate () =
+    match donor with
+    | Some dn when !started && dn.hungry () ->
+        let arr = !frames and n = !ntop in
+        let rec find i =
+          if i < n then
+            let fr = arr.(i) in
+            if fr.fr_rest <> [] && fuel - fr.fr_depth >= grain then begin
+              dn.donate { fr with fr_rest = fr.fr_rest };
+              fr.fr_rest <- []
+            end
+            else find (i + 1)
+        in
+        find 0
+    | _ -> ()
+  in
+  let rec expand ~depth ~prefix_rev ~rank_rev ~used ~sleep ~path =
+    if abandoned () then raise Abandoned;
+    incr nodes;
+    let frontier = Runner.frontier !exec in
+    if frontier = [] || depth >= fuel then begin
+      match level with
+      | Some (_, c) when used <> c -> ()
+      | _ -> deliver frontier path
+    end
+    else if
+      prune
+      &&
+      let fp = Runner.fingerprint !exec in
+      Hashtbl.mem memo fp || (Hashtbl.add memo fp (); false)
+    then incr fp_hits
+    else begin
+      let fr_default =
+        match (level, prefix_rev) with
+        | None, _ -> None
+        | Some (model, _), [] -> default_thread model ~last:None frontier
+        | Some (model, _), (d : Runner.decision) :: _ ->
+            default_thread model ~last:(Some d.thread) frontier
+      in
+      let fr =
+        {
+          fr_depth = depth;
+          fr_prefix_rev = prefix_rev;
+          fr_rank_rev = rank_rev;
+          fr_frontier = frontier;
+          fr_path = path;
+          fr_default;
+          fr_used = used;
+          fr_sleep = sleep;
+          fr_explored = [];
+          fr_rest = frontier;
+          fr_next = 0;
+        }
+      in
+      push fr;
+      iterate fr;
+      pop ()
+    end
+  and iterate fr =
+    maybe_donate ();
+    match fr.fr_rest with
+    | [] -> ()
+    | (d : Runner.decision) :: rest ->
+        fr.fr_rest <- rest;
+        let idx = fr.fr_next in
+        fr.fr_next <- idx + 1;
+        let used = fr.fr_used + edge_cost fr.fr_default d in
+        (match level with
+        | Some (_, c) when used > c -> incr bound_hits
+        | _ ->
+            if
+              prune
+              && List.exists
+                   (fun ((s : Runner.decision), _) ->
+                     s.thread = d.thread && s.branch = d.branch)
+                   fr.fr_sleep
+            then incr slept
+            else begin
+              ensure_at fr.fr_depth fr.fr_prefix_rev;
+              let path = step_path fr.fr_path fr.fr_frontier d in
+              (* labels feed the sleep sets only; read at the node's state *)
+              let sleep, explored =
+                if prune then
+                  let l = Runner.head_label !exec d.thread in
+                  let dl = (d, Option.value ~default:"" l) in
+                  ( List.filter
+                      (fun s -> independent s dl)
+                      (fr.fr_sleep @ List.rev fr.fr_explored),
+                    dl :: fr.fr_explored )
+                else ([], [])
+              in
+              ignore (Runner.step !exec d);
+              started := true;
+              expand ~depth:(fr.fr_depth + 1)
+                ~prefix_rev:(d :: fr.fr_prefix_rev)
+                ~rank_rev:(if donating then idx :: fr.fr_rank_rev else [])
+                ~used ~sleep ~path;
+              fr.fr_explored <- explored
+            end);
+        iterate fr
+  in
   (try
-     node ~prefix_rev:(List.rev prefix) ~depth:depth0 ~last:last0
-       ~preemptions:preemptions0 ~sleep:sleep0 ~path:init_path
+     match resume with
+     | None ->
+         expand ~depth:0 ~prefix_rev:[] ~rank_rev:[] ~used:0 ~sleep:[]
+           ~path:init_path
+     | Some fr ->
+         (* the donor counted (and, under pruning, memoized) this node when
+            it expanded it; the chunk resumes mid-iteration *)
+         List.iter
+           (fun d -> ignore (Runner.step !exec d))
+           (List.rev fr.fr_prefix_rev);
+         replayed := fr.fr_depth;
+         if abandoned () then raise Abandoned;
+         push fr;
+         iterate fr
    with Stop | Abandoned -> ());
   {
     empty_stats with
@@ -263,4 +412,5 @@ let dfs ~restart ~fuel ?max_runs ?preemption_bound ~prune ?(prefix = [])
     replayed_steps = !replayed;
     fingerprint_hits = !fp_hits;
     sleep_pruned = !slept;
+    bound_hits = !bound_hits;
   }

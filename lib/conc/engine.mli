@@ -1,16 +1,17 @@
-(** The incremental DFS core shared by {!Explore} (sequential front) and
-    {!Par_explore} (work-stealing parallel front).
+(** The one schedule-tree walker under every exhaustive search: the
+    sequential front of {!Explore}, each task of the work-stealing pool
+    ({!Par_explore}), and each level of a bounded search.
 
-    Most callers want {!Explore}; this module is the engine room. The DFS
+    Most callers want {!Explore}; this module is the engine room. The walk
     keeps one live execution and descends the schedule tree one
     {!Runner.step} per edge, re-establishing a branch point after
-    backtracking with a single prefix replay. It can be rooted at an
-    arbitrary schedule [prefix] with the scheduling state accumulated
-    along it ([last0], [preemptions0], [sleep0]), so a rooted DFS
-    explores exactly the subtree the sequential engine would have.
-    {!Par_explore} runs its own explicit-stack variant of the same
-    traversal (it needs the open frames for work donation) but shares
-    this module's stats, pruning controls and commutation heuristic. *)
+    backtracking with a single prefix replay. Open nodes live on an
+    explicit frame stack; an optional {!donor} hook (the pool's) may hand
+    the shallowest frame's remaining branches to an idle worker as a
+    {!chunk}, which another walk then {e resumes} mid-iteration — so the
+    parallel front explores exactly the subtrees the sequential walk
+    would have. A [level] of a {!cost_model} turns the walk into one level
+    of iterative deepening (see {!dfs}). *)
 
 type stats = {
   runs : int;           (** terminal outcomes delivered to the callback *)
@@ -30,12 +31,11 @@ type stats = {
       (** threads added to node backtrack sets by race reversal (source
           sets); [0] for the engines that expand every enabled decision *)
   bound_hits : int;
-      (** edges cut by a preemption/delay bound — summed across the
-          iterative-deepening levels, so one statically infeasible edge
-          counts once per level that revisited it *)
+      (** edges cut by a preemption/delay bound at the final deepening
+          level — the schedules the bounded search left out start there *)
   bounded : bool;
-      (** the run {e set} is an underapproximation because a schedule bound
-          actually cut at least one edge ([bound_hits > 0] somewhere); a
+      (** the run {e set} is an underapproximation because the final level
+          of a bounded search cut at least one edge ([bound_hits > 0]); a
           bounded strategy whose bound never bit reports [false] — the
           exploration was complete *)
   cache_hits : int;
@@ -69,42 +69,65 @@ val merge_stats : stats -> stats -> stats
 exception Stop
 (** Raised internally to cut the search (budget, counterexample). *)
 
-exception Abandoned
-(** Raised when [abort] asks the current task to stop; the DFS returns
-    its partial stats. *)
-
 val env_flag : string -> bool
 val pruning_requested : bool option -> bool
 (** Resolve a [?prune] argument against [CAL_EXPLORE_PRUNE] /
     [CAL_EXPLORE_NO_PRUNE] (see {!Explore}). *)
 
-val independent :
-  Runner.decision * string -> Runner.decision * string -> bool
-(** Sleep-set commutation heuristic on labelled decisions. *)
+type cost_model =
+  | Preemption
+      (** +1 when the previously scheduled thread could continue but
+          another runs *)
+  | Delay
+      (** +1 when the chosen thread deviates from the default continuation:
+          the last thread if enabled, else the first enabled thread *)
+(** Schedule cost of a bounded search. Branch choices of the default
+    thread are data nondeterminism: cost 0. *)
 
-val threads_of : Runner.exec -> int
-(** Thread count of the program under execution (sizes the memo table). *)
+val schedule_cost : cost_model -> Runner.exec -> Runner.schedule -> int
+(** [schedule_cost model exec sched] steps [exec] (fresh) through [sched]
+    and returns the schedule's cost. *)
+
+type 'path chunk
+(** The undescended tail of one open node's branch list, with everything
+    needed to resume its iteration elsewhere. *)
+
+val chunk_rank : 'path chunk -> int list
+(** Branch-index path from the root to the chunk's first branch: ranks
+    compare lexicographically in canonical (sequential DFS) leaf order. *)
+
+type 'path donor = {
+  hungry : unit -> bool;  (** consulted before each branch: donate now? *)
+  donate : 'path chunk -> unit;
+      (** receives the shallowest frame's remaining branches (the
+          canonical tail of the walk's remaining work) *)
+  abandoned : unit -> bool;
+      (** consulted before each node: [true] stops the walk with partial
+          stats *)
+}
 
 val dfs :
   restart:(unit -> Runner.exec) ->
   fuel:int ->
   ?max_runs:int ->
-  ?preemption_bound:int ->
   prune:bool ->
-  ?prefix:Runner.decision list ->
-  ?last0:int ->
-  ?preemptions0:int ->
-  ?sleep0:(Runner.decision * string) list ->
+  ?level:cost_model * int ->
   ?gate:(unit -> bool) ->
-  ?abort:(unit -> bool) ->
+  ?donor:'path donor ->
+  ?resume:'path chunk ->
   init_path:'path ->
   step_path:('path -> Runner.decision list -> Runner.decision -> 'path) ->
   leaf:(Runner.outcome -> Runner.decision list -> 'path -> unit) ->
   unit ->
   stats
-(** Explore the subtree rooted at [prefix] (default: the whole tree).
-    [fuel] counts absolute schedule depth, prefix included. [gate]
-    (parallel run budget) is consulted before each delivery — refusal
-    truncates; [abort] (best-failure bound) before each node — refusal
-    abandons with partial stats. [max_runs] is the sequential local
-    budget; the parallel front passes [gate] instead. *)
+(** Walk the schedule tree of [restart] (or, with [resume], a donated
+    chunk of it) to depth [fuel], calling [leaf] on every delivered
+    outcome with the final frontier and path state. [leaf] may raise
+    {!Stop} to end the walk (the run is then not counted). [max_runs] is
+    the local run budget; [gate] (a shared budget) is consulted before
+    each delivery — refusal truncates. [prune] enables fingerprint
+    memoization and sleep sets (unbounded walks only).
+
+    [level = (model, c)] delivers exactly the runs of cost [c] and counts
+    in [bound_hits] every edge that would exceed [c]; running levels
+    [0..bound] partitions the runs of cost [<= bound]. *)

@@ -28,75 +28,200 @@ exception Stop = Engine.Stop
 let pruning_requested = Engine.pruning_requested
 let env_flag = Engine.env_flag
 
+(* ------------------------------------------------------- strategies -- *)
+
+type strategy =
+  | Dfs
+  | Dpor
+  | Preemption_bounded of { bound : int }
+  | Delay_bounded of { bound : int }
+
+let strategy_of_string s =
+  match String.lowercase_ascii (String.trim s) with
+  | "" | "dfs" -> Some Dfs
+  | "dpor" -> Some Dpor
+  | s -> (
+      match String.index_opt s ':' with
+      | None -> None
+      | Some i -> (
+          let kind = String.sub s 0 i
+          and n = String.sub s (i + 1) (String.length s - i - 1) in
+          match (kind, int_of_string_opt n) with
+          | ("preemption" | "preempt"), Some b when b >= 0 ->
+              Some (Preemption_bounded { bound = b })
+          | "delay", Some b when b >= 0 -> Some (Delay_bounded { bound = b })
+          | _ -> None))
+
+let strategy_to_string = function
+  | Dfs -> "dfs"
+  | Dpor -> "dpor"
+  | Preemption_bounded { bound } -> Fmt.str "preemption:%d" bound
+  | Delay_bounded { bound } -> Fmt.str "delay:%d" bound
+
 (* --------------------------------------------------- exploration fronts --
-   The incremental DFS engine lives in {!Engine}; the work-stealing
-   parallel front in {!Par_explore}. Every entry point below dispatches on
-   [domains]: [1] (the default) is byte-for-byte the sequential engine,
-   [>= 2] explores with that many worker domains splitting the schedule
-   tree dynamically as workers go idle. Callbacks of the parallel paths
-   run concurrently from several domains and must be thread-safe; the
+   Every exhaustive search is the one walker ({!Engine.dfs}): unbounded
+   for [Dfs], once per deepening level for the bounded strategies, either
+   as a single walk ([domains = 1]) or spread over the work-stealing pool
+   of {!Par_explore}. Only [Dpor] runs its own engine, composed with the
+   domains by root-splitting. Callbacks of the parallel paths run
+   concurrently from several domains and must be thread-safe; the
    [_collect] variants side-step that by giving every task its own
    accumulator, merged in canonical rank order after the join. *)
 
-let sequential_dfs ~restart ~fuel ?max_runs ?preemption_bound ~prune ~f () =
-  Engine.dfs ~restart ~fuel ?max_runs ?preemption_bound ~prune ~init_path:()
-    ~step_path:(fun () _ _ -> ())
-    ~leaf:(fun o _ () -> f o)
-    ()
-
-let exhaustive ?(plan = []) ?prune ?(domains = 1) ~setup ~fuel ?max_runs
-    ?preemption_bound ~f () =
-  let prune = pruning_requested prune in
-  let restart () = Runner.start ~plan ~setup () in
-  if domains <= 1 then
-    sequential_dfs ~restart ~fuel ?max_runs ?preemption_bound ~prune ~f ()
-  else
-    fst
-      (Par_explore.explore ~prune ~domains ?max_runs ?preemption_bound
-         ~restart ~fuel
-         ~init:(fun () -> ())
-         ~f:(fun () o -> f o)
-         ())
-
-let exhaustive_collect ?(plan = []) ?prune ?(domains = 1) ~setup ~fuel
-    ?max_runs ?preemption_bound ~init ~f () =
-  let prune = pruning_requested prune in
-  let restart () = Runner.start ~plan ~setup () in
-  if domains <= 1 then begin
-    let acc = init () in
-    let stats =
-      sequential_dfs ~restart ~fuel ?max_runs ?preemption_bound ~prune
-        ~f:(fun o -> f acc o)
-        ()
+(* The iterative-deepening level loop, around any walk [walk level
+   max_runs] returning stats and a per-level result. Level [c] delivers
+   exactly the cost-[c] runs, so the levels partition the bounded run set
+   and delivery order is (cost, DFS) lexicographic. The loop stops early
+   once a level is truncated, [stopped ()] holds (a first-failure search
+   found one), or a level cut no edge — every run then costs at most that
+   level, so the rest are empty. [bound_hits] is the final level's; any
+   earlier exit reports [0] (the search either was complete or stopped
+   for another reason). *)
+let deepen ?max_runs ~stopped strategy walk =
+  let level_loop model bound =
+    let rec go level total outs =
+      let remaining = Option.map (fun m -> m - total.runs) max_runs in
+      let s, out = walk (Some (model, level)) remaining in
+      let total = merge_stats total { s with bound_hits = 0 } in
+      let outs = out :: outs in
+      let more =
+        level < bound && s.bound_hits > 0 && (not s.truncated)
+        && not (stopped ())
+      in
+      if more then go (level + 1) total outs
+      else
+        let bound_hits = if level = bound then s.bound_hits else 0 in
+        ({ total with bound_hits; bounded = bound_hits > 0 }, List.rev outs)
     in
-    (stats, [| acc |])
+    go 0 empty_stats []
+  in
+  match strategy with
+  | Dfs | Dpor ->
+      let s, out = walk None max_runs in
+      (s, [ out ])
+  | Preemption_bounded { bound } -> level_loop Engine.Preemption bound
+  | Delay_bounded { bound } -> level_loop Engine.Delay bound
+
+(* Root-split composition of source-DPOR with the domains: fully expand
+   the root frontier and hand each root decision to one engine instance as
+   a rank-ordered task. Sound because full expansion is a superset of any
+   backtrack set the analysis could compute at the root, so race reversals
+   never need to reach into a task's frozen prefix; the split is applied
+   identically at [domains = 1], so reports are byte-identical across
+   domain counts by construction. The cost is bounded reduction loss at
+   the root only: at most a factor of the root frontier width. *)
+let root_split ~domains ~restart ~fuel ?max_runs ~init ~f ?stop_on () =
+  let roots = Runner.frontier (restart ()) in
+  if roots = [] || fuel = 0 then begin
+    let acc = init () in
+    let o = Runner.outcome (restart ()) in
+    f acc o;
+    ( { empty_stats with runs = 1; nodes = 1; max_steps = o.Runner.steps },
+      [| acc |] )
   end
-  else
-    Par_explore.explore ~prune ~domains ?max_runs ?preemption_bound ~restart
-      ~fuel ~init ~f ()
+  else begin
+    let gate =
+      Option.map
+        (fun m ->
+          let remaining = Atomic.make m in
+          fun () -> Atomic.fetch_and_add remaining (-1) > 0)
+        max_runs
+    in
+    let tasks = Array.of_list roots in
+    let eff_domains =
+      if domains <= 1 then 1
+      else
+        max 1
+          (min (Par_explore.effective_domains domains) (Array.length tasks))
+    in
+    let run_task _rank d =
+      let acc = init () in
+      let f o =
+        f acc o;
+        match stop_on with Some hit when hit acc o -> raise Stop | _ -> ()
+      in
+      (Dpor.source ~restart ~fuel ~prefix:[ d ] ?gate ~f (), acc)
+    in
+    let results, stolen =
+      Par_explore.map_tasks ~domains:eff_domains ~f:run_task tasks
+    in
+    let stats =
+      Array.fold_left (fun s (st, _) -> merge_stats s st) empty_stats results
+    in
+    ( {
+        stats with
+        tasks_stolen = stolen;
+        domains_used = eff_domains;
+        domains_requested = domains;
+      },
+      Array.map snd results )
+  end
+
+(* One search of the schedule tree of [restart] under [strategy]. *)
+let search ~strategy ~prune ~domains ~restart ~fuel ?max_runs ~init ~f
+    ?stop_on () =
+  match strategy with
+  | Dpor -> root_split ~domains ~restart ~fuel ?max_runs ~init ~f ?stop_on ()
+  | _ ->
+      (* a first-failure search ends the level loop at the failing level *)
+      let hit = Atomic.make false in
+      let stop_on =
+        Option.map
+          (fun p acc o ->
+            let stop = p acc o in
+            if stop then Atomic.set hit true;
+            stop)
+          stop_on
+      in
+      let stats, accs =
+        deepen ?max_runs ~stopped:(fun () -> Atomic.get hit) strategy
+          (fun level max_runs ->
+            Par_explore.explore ~prune ~domains ?max_runs ?level ~restart ~fuel
+              ~init ~f ?stop_on ())
+      in
+      (stats, Array.concat accs)
+
+let exhaustive_collect ?(plan = []) ?prune ?(domains = 1) ?(strategy = Dfs)
+    ~setup ~fuel ?max_runs ~init ~f () =
+  search ~strategy ~prune:(pruning_requested prune) ~domains
+    ~restart:(fun () -> Runner.start ~plan ~setup ())
+    ~fuel ?max_runs ~init ~f ()
+
+let exhaustive ?plan ?prune ?domains ?strategy ~setup ~fuel ?max_runs ~f () =
+  fst
+    (exhaustive_collect ?plan ?prune ?domains ?strategy ~setup ~fuel ?max_runs
+       ~init:ignore
+       ~f:(fun () o -> f o)
+       ())
+
+let exhaustive_strategy ?plan ~strategy ?domains ~setup ~fuel ?max_runs ~f () =
+  exhaustive ?plan ?domains ~strategy ~setup ~fuel ?max_runs ~f ()
+
+(* The fault, crash and liveness sweeps run the walker with their own
+   per-plan machinery; source-DPOR's dependence analysis does not cover
+   fault plans, durable cells or path state, so it is refused there. *)
+let sweep_strategy = function
+  | None -> Dfs
+  | Some Dpor -> invalid_arg "Explore: the Dpor strategy cannot drive a sweep"
+  | Some s -> s
 
 (* Exhaustive exploration of one durable program under one (possibly
    crashing) plan. Always unpruned: persistent-cell contents are not part
    of the state fingerprint, so memoization across crash plans would be
    unsound. *)
-let exhaustive_durable ~plan ?(domains = 1) ~setup ~fuel ?max_runs
-    ?preemption_bound ~f () =
-  let restart () = Runner.start_durable ~plan ~setup () in
-  if domains <= 1 then
-    sequential_dfs ~restart ~fuel ?max_runs ?preemption_bound ~prune:false ~f
-      ()
-  else
-    fst
-      (Par_explore.explore ~prune:false ~domains ?max_runs ?preemption_bound
-         ~restart ~fuel
-         ~init:(fun () -> ())
-         ~f:(fun () o -> f o)
-         ())
+let exhaustive_durable ~plan ?(domains = 1) ?strategy ~setup ~fuel ?max_runs
+    ~f () =
+  fst
+    (search ~strategy:(sweep_strategy strategy) ~prune:false ~domains
+       ~restart:(fun () -> Runner.start_durable ~plan ~setup ())
+       ~fuel ?max_runs ~init:ignore
+       ~f:(fun () o -> f o)
+       ())
 
 (* The seed's stateless engine — a whole-prefix replay at every DFS node —
-   kept as the reference implementation for cross-checks and the B12
-   before/after comparison. [replayed_steps] counts every program step it
-   executes. *)
+   kept as the reference oracle for cross-checks and the B12 before/after
+   comparison, with its own single-pass preemption bound. [replayed_steps]
+   counts every program step it executes. *)
 let exhaustive_via_replay ?(plan = []) ~setup ~fuel ?max_runs ?preemption_bound
     ~f () =
   let runs = ref 0 and truncated = ref false and max_steps = ref 0 in
@@ -144,178 +269,41 @@ let exhaustive_via_replay ?(plan = []) ~setup ~fuel ?max_runs ?preemption_bound
     replayed_steps = !replayed;
   }
 
-let random ~setup ~fuel ~runs ~seed ~f () =
-  let rng = Rng.create ~seed in
-  let max_steps = ref 0 in
-  for _ = 1 to runs do
-    let outcome = Runner.run_random ~setup ~fuel ~rng () in
-    if outcome.Runner.steps > !max_steps then max_steps := outcome.Runner.steps;
-    f outcome
-  done;
-  { empty_stats with runs; max_steps = !max_steps }
-
-let check_all ?plan ?prune ?(domains = 1) ~setup ~fuel ?max_runs
-    ?preemption_bound ~p () =
-  if domains <= 1 then begin
-    let bad = ref None in
-    let wrapped outcome =
-      if !bad = None && not (p outcome) then begin
-        bad := Some outcome;
-        raise Stop
-      end
-    in
-    let stats =
-      exhaustive ?plan ?prune ~setup ~fuel ?max_runs ?preemption_bound
-        ~f:wrapped ()
-    in
-    (* [truncated] means the budget capped the search, nothing else: a
-       counterexample stop is reported by the [Error] constructor alone, so
-       callers can tell an exhausted-but-failing search from a capped one. *)
-    match !bad with None -> Ok stats | Some o -> Error (o, stats)
-  end
-  else begin
-    let plan = Option.value plan ~default:[] in
-    let prune = pruning_requested prune in
-    let restart () = Runner.start ~plan ~setup () in
-    let stats, accs =
-      Par_explore.explore ~prune ~domains ?max_runs ?preemption_bound ~restart
-        ~fuel
-        ~init:(fun () -> ref None)
-        ~f:(fun acc o -> if !acc = None && not (p o) then acc := Some o)
-        ~stop_on:(fun acc _ -> !acc <> None)
-        ()
-    in
-    (* first failing task in canonical order holds the sequential witness *)
-    match Array.to_list accs |> List.find_map (fun acc -> !acc) with
-    | None -> Ok stats
-    | Some o -> Error (o, stats)
-  end
+let check_all ?(plan = []) ?prune ?(domains = 1) ?(strategy = Dfs) ~setup ~fuel
+    ?max_runs ~p () =
+  let stats, accs =
+    search ~strategy ~prune:(pruning_requested prune) ~domains
+      ~restart:(fun () -> Runner.start ~plan ~setup ())
+      ~fuel ?max_runs
+      ~init:(fun () -> ref None)
+      ~f:(fun acc o -> if !acc = None && not (p o) then acc := Some o)
+      ~stop_on:(fun acc _ -> !acc <> None)
+      ()
+  in
+  (* [truncated] means the budget capped the search, nothing else: a
+     counterexample stop is reported by the [Error] constructor alone, so
+     callers can tell an exhausted-but-failing search from a capped one.
+     The first failing task in canonical order holds the witness. *)
+  match Array.to_list accs |> List.find_map (fun acc -> !acc) with
+  | None -> Ok stats
+  | Some o -> Error (o, stats)
 
 (* Iterative context bounding doubles as counterexample minimisation: the
-   first bound at which a violation appears is the bug's preemption depth,
-   and the witness schedule has that few context switches. *)
+   level-major search stops at the first level holding a violation, which
+   is the bug's preemption depth, and the witness schedule has that few
+   context switches. *)
 let failure_depth ~setup ~fuel ?(max_bound = 8) ?max_runs ~p () =
-  let rec go bound last_stats =
-    if bound > max_bound then `Holds last_stats
-    else
-      match check_all ~setup ~fuel ?max_runs ~preemption_bound:bound ~p () with
-      | Error (outcome, _) -> `Fails_at (bound, outcome)
-      | Ok stats -> go (bound + 1) stats
-  in
-  go 0 empty_stats
-
-(* ------------------------------------------------- strategy dispatch -- *)
-
-type strategy =
-  | Dfs
-  | Dpor
-  | Preemption_bounded of { bound : int }
-  | Delay_bounded of { bound : int }
-
-let strategy_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "" | "dfs" -> Some Dfs
-  | "dpor" -> Some Dpor
-  | s -> (
-      match String.index_opt s ':' with
-      | None -> None
-      | Some i -> (
-          let kind = String.sub s 0 i
-          and n = String.sub s (i + 1) (String.length s - i - 1) in
-          match (kind, int_of_string_opt n) with
-          | ("preemption" | "preempt"), Some b when b >= 0 ->
-              Some (Preemption_bounded { bound = b })
-          | "delay", Some b when b >= 0 -> Some (Delay_bounded { bound = b })
-          | _ -> None))
-
-let strategy_to_string = function
-  | Dfs -> "dfs"
-  | Dpor -> "dpor"
-  | Preemption_bounded { bound } -> Fmt.str "preemption:%d" bound
-  | Delay_bounded { bound } -> Fmt.str "delay:%d" bound
-
-(* Root-split composition with the parallel front: fully expand the root
-   frontier and hand each root decision to one engine instance as a
-   rank-ordered task. Sound for DPOR because full expansion is a superset
-   of any backtrack set the analysis could compute at the root, so race
-   reversals never need to reach into a task's frozen prefix; the split is
-   applied identically at [domains = 1], so reports are byte-identical
-   across domain counts by construction (per-task run sets don't depend on
-   which worker claims the task). The cost is bounded reduction loss at
-   the root only: at most a factor of the root frontier width. *)
-let exhaustive_strategy_collect ?(plan = []) ~strategy ?(domains = 1) ~setup
-    ~fuel ?max_runs ~init ~f () =
-  match strategy with
-  | Dfs ->
-      exhaustive_collect ~plan ~domains ~setup ~fuel ?max_runs ~init ~f ()
-  | _ ->
-      let restart () = Runner.start ~plan ~setup () in
-      let roots = Runner.frontier (restart ()) in
-      if roots = [] || fuel = 0 then begin
-        let acc = init () in
-        let o = Runner.outcome (restart ()) in
-        f acc o;
-        ( { empty_stats with runs = 1; nodes = 1; max_steps = o.Runner.steps },
-          [| acc |] )
-      end
-      else begin
-        let gate =
-          match max_runs with
-          | None -> None
-          | Some m ->
-              let remaining = Atomic.make m in
-              Some (fun () -> Atomic.fetch_and_add remaining (-1) > 0)
-        in
-        let engine ~prefix ~f =
-          match strategy with
-          | Dfs -> assert false
-          | Dpor -> Dpor.source ~restart ~fuel ~prefix ?gate ~f ()
-          | Preemption_bounded { bound } ->
-              Dpor.bounded ~cost:Dpor.Preemption ~bound ~restart ~fuel ~prefix
-                ?gate ~f ()
-          | Delay_bounded { bound } ->
-              Dpor.bounded ~cost:Dpor.Delay ~bound ~restart ~fuel ~prefix
-                ?gate ~f ()
-        in
-        let tasks = Array.of_list roots in
-        let eff_domains =
-          if domains <= 1 then 1
-          else
-            max 1
-              (min (Par_explore.effective_domains domains) (Array.length tasks))
-        in
-        let run_task _rank d =
-          let acc = init () in
-          let stats = engine ~prefix:[ d ] ~f:(fun o -> f acc o) in
-          (stats, acc)
-        in
-        let results, stolen =
-          Par_explore.map_tasks ~domains:eff_domains ~f:run_task tasks
-        in
-        let stats =
-          Array.fold_left
-            (fun s (st, _) -> merge_stats s st)
-            empty_stats results
-        in
-        let stats =
-          {
-            stats with
-            tasks_stolen = stolen;
-            domains_used = eff_domains;
-            domains_requested = domains;
-          }
-        in
-        (stats, Array.map snd results)
-      end
-
-let exhaustive_strategy ?plan ~strategy ?domains ~setup ~fuel ?max_runs ~f ()
-    =
-  fst
-    (exhaustive_strategy_collect ?plan ~strategy ?domains ~setup ~fuel
-       ?max_runs
-       ~init:(fun () -> ())
-       ~f:(fun () o -> f o)
-       ())
+  match
+    check_all
+      ~strategy:(Preemption_bounded { bound = max_bound })
+      ~setup ~fuel ?max_runs ~p ()
+  with
+  | Error (o, _) ->
+      `Fails_at
+        ( Engine.schedule_cost Engine.Preemption (Runner.start ~setup ())
+            o.Runner.schedule,
+          o )
+  | Ok stats -> `Holds stats
 
 (* Replay a (witness) schedule through the vector-clock analysis and report
    its direct racing step pairs — the "why this interleaving matters" data
@@ -370,6 +358,7 @@ type fault_stats = {
   fault_tasks_stolen : int;
   fault_domains_used : int;
   fault_domains_requested : int;
+  fault_bound_hits : int;
 }
 
 let fault_stats_of ~plans (s : stats) =
@@ -385,6 +374,7 @@ let fault_stats_of ~plans (s : stats) =
     fault_tasks_stolen = s.tasks_stolen;
     fault_domains_used = s.domains_used;
     fault_domains_requested = s.domains_requested;
+    fault_bound_hits = s.bound_hits;
   }
 
 (* Candidate fault points of a bounded program, learned from the fault-free
@@ -507,14 +497,15 @@ let cap_plans max_plans seq =
    fault-free pass stays sequential: a parallel race on the shared run
    budget could truncate a different run subset and learn different fault
    candidates. *)
-let exhaustive_with_faults_collect ?delay_factors ?prune ?(domains = 1) ~setup
-    ~fuel ?max_runs ?preemption_bound ?max_plans ~fault_bound ~init ~f () =
+let exhaustive_with_faults_collect ?delay_factors ?prune ?(domains = 1)
+    ?strategy ~setup ~fuel ?max_runs ?max_plans ~fault_bound ~init ~f () =
   if fault_bound < 0 then invalid_arg "Explore: fault_bound must be >= 0";
+  let strategy = sweep_strategy strategy in
   let free_domains = if max_runs = None then domains else 1 in
   let learner = candidate_learner ?delay_factors () in
   let free_stats, free_accs =
-    exhaustive_collect ?prune ~domains:free_domains ~setup ~fuel ?max_runs
-      ?preemption_bound
+    exhaustive_collect ?prune ~domains:free_domains ~strategy ~setup ~fuel
+      ?max_runs
       ~init:(fun () -> (init (), candidate_learner ?delay_factors ()))
       ~f:(fun (acc, l) o ->
         if fault_bound > 0 then l.learn o;
@@ -531,18 +522,8 @@ let exhaustive_with_faults_collect ?delay_factors ?prune ?(domains = 1) ~setup
   in
   let plans = Array.of_list (List.of_seq plan_seq) in
   let run_plan _idx plan =
-    let acc = init () in
-    let stats =
-      Engine.dfs
-        ~restart:(fun () -> Runner.start ~plan ~setup ())
-        ~fuel ?max_runs ?preemption_bound
-        ~prune:(pruning_requested prune)
-        ~init_path:()
-        ~step_path:(fun () _ _ -> ())
-        ~leaf:(fun o _ () -> f acc o)
-        ()
-    in
-    (stats, acc)
+    exhaustive_collect ~plan ?prune ~strategy ~setup ~fuel ?max_runs ~init ~f
+      ()
   in
   let plan_results, stolen =
     if domains <= 1 then
@@ -572,18 +553,16 @@ let exhaustive_with_faults_collect ?delay_factors ?prune ?(domains = 1) ~setup
     }
   in
   let accs =
-    Array.append
-      (Array.map fst free_accs)
-      (Array.map snd plan_results)
+    Array.concat
+      (Array.map fst free_accs :: Array.to_list (Array.map snd plan_results))
   in
   (fault_stats_of ~plans:(1 + Array.length plans) merged, accs)
 
-let exhaustive_with_faults ?delay_factors ?prune ?domains ~setup ~fuel
-    ?max_runs ?preemption_bound ?max_plans ~fault_bound ~f () =
+let exhaustive_with_faults ?delay_factors ?prune ?domains ?strategy ~setup
+    ~fuel ?max_runs ?max_plans ~fault_bound ~f () =
   fst
-    (exhaustive_with_faults_collect ?delay_factors ?prune ?domains ~setup
-       ~fuel ?max_runs ?preemption_bound ?max_plans ~fault_bound
-       ~init:(fun () -> ())
+    (exhaustive_with_faults_collect ?delay_factors ?prune ?domains ?strategy
+       ~setup ~fuel ?max_runs ?max_plans ~fault_bound ~init:ignore
        ~f:(fun () o -> f o)
        ())
 
@@ -605,9 +584,9 @@ let exhaustive_with_faults ?delay_factors ?prune ?domains ~setup ~fuel
    horizon depends on the runs its parent plan delivered, so the plan
    enumeration itself is a data-dependent sequential sweep — see DESIGN
    §2.11 for why this never parallelizes. *)
-let exhaustive_with_crashes ?delay_factors ~setup ~fuel ?max_runs
-    ?preemption_bound ?max_plans ?(max_crash_depth = 1) ?(fault_bound = 0) ~f
-    () =
+let exhaustive_with_crashes ?delay_factors ?strategy ~setup ~fuel ?max_runs
+    ?max_plans ?(max_crash_depth = 1) ?(fault_bound = 0) ~f () =
+  let strategy = sweep_strategy strategy in
   if fault_bound < 0 then invalid_arg "Explore: fault_bound must be >= 0";
   if max_crash_depth < 0 then
     invalid_arg "Explore: max_crash_depth must be >= 0";
@@ -627,7 +606,7 @@ let exhaustive_with_crashes ?delay_factors ~setup ~fuel ?max_runs
     incr nplans;
     let smax = ref 0 in
     let s =
-      exhaustive_durable ~plan ~setup ~fuel ?max_runs ?preemption_bound
+      exhaustive_durable ~plan ~strategy ~setup ~fuel ?max_runs
         ~f:(fun o ->
           if o.Runner.steps > !smax then smax := o.Runner.steps;
           learn o;
@@ -742,7 +721,7 @@ type liveness_stats = {
    10 livelocks in canonical order) and the fairness classification are
    verdict-relevant order-dependent state; keeping the watchdog on the
    sequential engine preserves its behaviour exactly (DESIGN §2.11). *)
-let liveness_core ?(plan = []) ~setup ~fuel ~window ?max_runs ?preemption_bound
+let liveness_core ?(plan = []) ~strategy ~setup ~fuel ~window ?max_runs
     ?(on_outcome = fun _ -> ()) () =
   if window < 1 then invalid_arg "Explore.liveness: window must be >= 1";
   let completed = ref 0 and deadlocked = ref 0 in
@@ -762,11 +741,13 @@ let liveness_core ?(plan = []) ~setup ~fuel ~window ?max_runs ?preemption_bound
   let step_path (idle, starving) frontier (d : Runner.decision) =
     bump_idle ~window idle (enabled_threads frontier) d.thread starving
   in
-  let stats =
-    Engine.dfs
-      ~restart:(fun () -> Runner.start ~plan ~setup ())
-      ~fuel ?max_runs ?preemption_bound ~prune:false ~init_path:([], [])
-      ~step_path ~leaf ()
+  let stats, _ =
+    deepen ?max_runs ~stopped:(fun () -> false) strategy (fun level max_runs ->
+        ( Engine.dfs
+            ~restart:(fun () -> Runner.start ~plan ~setup ())
+            ~fuel ?max_runs ~prune:false ?level ~init_path:([], []) ~step_path
+            ~leaf (),
+          () ))
   in
   {
     live_runs = stats.runs;
@@ -778,8 +759,9 @@ let liveness_core ?(plan = []) ~setup ~fuel ~window ?max_runs ?preemption_bound
     live_truncated = stats.truncated;
   }
 
-let liveness ?plan ~setup ~fuel ~window ?max_runs ?preemption_bound () =
-  liveness_core ?plan ~setup ~fuel ~window ?max_runs ?preemption_bound ()
+let liveness ?plan ?strategy ~setup ~fuel ~window ?max_runs () =
+  liveness_core ?plan ~strategy:(sweep_strategy strategy) ~setup ~fuel ~window
+    ?max_runs ()
 
 let merge_liveness a b =
   {
@@ -800,12 +782,13 @@ let merge_liveness a b =
    as the candidate learner, so the fault-free state space is executed
    once. Crashed and stalled threads are never enabled, so their
    non-termination classifies as deadlock, not livelock. *)
-let liveness_with_faults ?delay_factors ~setup ~fuel ~window ?max_runs
-    ?preemption_bound ?max_plans ~fault_bound () =
+let liveness_with_faults ?delay_factors ?strategy ~setup ~fuel ~window
+    ?max_runs ?max_plans ~fault_bound () =
   if fault_bound < 0 then invalid_arg "Explore: fault_bound must be >= 0";
+  let strategy = sweep_strategy strategy in
   let learner = candidate_learner ?delay_factors () in
   let free =
-    liveness_core ~setup ~fuel ~window ?max_runs ?preemption_bound
+    liveness_core ~strategy ~setup ~fuel ~window ?max_runs
       ~on_outcome:learner.learn ()
   in
   let candidates = if fault_bound = 0 then [] else learner.candidates () in
@@ -820,8 +803,7 @@ let liveness_with_faults ?delay_factors ~setup ~fuel ~window ?max_runs
       (fun acc plan ->
         incr nplans;
         merge_liveness acc
-          (liveness_core ~plan ~setup ~fuel ~window ?max_runs ?preemption_bound
-             ()))
+          (liveness_core ~plan ~strategy ~setup ~fuel ~window ?max_runs ()))
       free plan_seq
   in
   (!nplans, { merged with live_truncated = merged.live_truncated || was_capped () })

@@ -1,21 +1,23 @@
-(** Systematic and randomised exploration of interleavings.
+(** Systematic exploration of interleavings.
 
     Exhaustive exploration enumerates {e every} schedule of a bounded
     program (stateless model checking by replay): the paper's claims are
     checked over the complete set of interleavings of each client program.
-    Randomised exploration samples schedules for larger programs and for
-    benchmarking.
+    Randomised exploration lives in {!Sampler}.
 
-    The exhaustive engine is {e incremental} ({!Engine}): it keeps one
-    live execution ({!Runner.start}/{!Runner.step}) and descends the
-    schedule tree one step per edge, re-establishing a branch point after
-    backtracking with a single prefix replay — O(runs × depth) program
-    steps in total, against O(nodes × depth) for a whole-prefix replay at
-    every node (the seed engine, kept as {!exhaustive_via_replay} for
-    cross-checks and benchmarks).
+    Every exhaustive search runs on {e one} walker, {!Engine.dfs}: it
+    keeps one live execution ({!Runner.start}/{!Runner.step}) and descends
+    the schedule tree one step per edge, re-establishing a branch point
+    after backtracking with a single prefix replay — O(runs × depth)
+    program steps in total, against O(nodes × depth) for a whole-prefix
+    replay at every node (the seed engine, kept as the reference oracle
+    {!exhaustive_via_replay}). A search is selected by a {!strategy}:
+    plain enumeration ([Dfs]), source-DPOR ([Dpor], its own engine), or a
+    bounded search ([Preemption_bounded]/[Delay_bounded]), which is the
+    walker run once per deepening level [0..bound].
 
-    Two optional sound-for-verdicts reductions prune the tree when [prune]
-    is set (or the environment variable [CAL_EXPLORE_PRUNE=1] is):
+    Two optional sound-for-verdicts reductions prune the [Dfs] tree when
+    [prune] is set (or the environment variable [CAL_EXPLORE_PRUNE=1] is):
     state-fingerprint memoization ({!Runner.fingerprint}) cuts off subtrees
     already explored from an indistinguishable state, and sleep sets skip
     re-exploring both orders of commuting steps of different threads.
@@ -24,18 +26,18 @@
     {!Verify.Obligations}) may opt in; run counts shrink. Setting
     [CAL_EXPLORE_NO_PRUNE=1] force-disables pruning even for explicit
     opt-ins — the cross-check mode: a pruned and an unpruned pass must
-    reach identical verdicts.
+    reach identical verdicts. Bounded levels never prune.
 
     {b Parallel exploration.} Every exhaustive entry point takes
-    [?domains] (default [1]): with [domains >= 2] the schedule tree is
-    explored by that many OCaml 5 worker domains with dynamic work
-    stealing — the tree starts as one task and busy workers donate the
-    remaining branches of their shallowest open DFS node whenever a
+    [?domains] (default [1]): with [domains >= 2] the walker runs in that
+    many OCaml 5 worker domains with dynamic work stealing — the tree (or
+    one bounded level of it) starts as one task and busy workers donate
+    the remaining branches of their shallowest open node whenever a
     worker is idle, recursively, so load balances itself whatever the
     tree's shape ({!Par_explore}, DESIGN §2.11). Every task owns a
     contiguous interval of the canonical DFS leaf order and results are
     merged in rank order, so verdicts, witnesses and run counts match
-    the sequential engine exactly (only [replayed_steps] grows, by the
+    the sequential walk exactly (only [replayed_steps] grows, by the
     task-prefix replays) — except under [max_runs], where the shared run
     budget admits a scheduling-dependent run subset, and under [prune],
     where the per-task fingerprint memos make the pruned run set
@@ -62,8 +64,8 @@ type stats = Engine.stats = {
   backtrack_points : int;
       (** threads added to backtrack sets by source-set race reversal *)
   bound_hits : int;
-      (** edges cut by a preemption/delay bound, summed across the
-          iterative-deepening levels *)
+      (** edges cut by a preemption/delay bound at the final deepening
+          level *)
   bounded : bool;
       (** a schedule bound actually cut at least one edge: the run set is
           an honest underapproximation (sound for bug-finding only) *)
@@ -103,137 +105,29 @@ val env_flag : string -> bool
 (** [env_flag v] is [true] iff the environment variable [v] is set to
     [1]/[true]/[yes]/[on]. *)
 
-val exhaustive :
-  ?plan:Fault.plan ->
-  ?prune:bool ->
-  ?domains:int ->
-  setup:(Ctx.t -> Runner.program) ->
-  fuel:int ->
-  ?max_runs:int ->
-  ?preemption_bound:int ->
-  f:(Runner.outcome -> unit) ->
-  unit ->
-  stats
-(** [exhaustive ~setup ~fuel ~f ()] calls [f] on the outcome of every
-    maximal schedule: one in which every thread returned, or which reached
-    [fuel] decisions (the outcome then has pending operations). [max_runs]
-    (default unlimited) aborts a blow-up; the result notes truncation.
-
-    [preemption_bound] (default unlimited) restricts the search to
-    schedules with at most that many {e preemptions} — context switches
-    away from a thread that could still run (CHESS-style iterative context
-    bounding, Musuvathi & Qadeer). Most concurrency bugs manifest within
-    very few preemptions, so a small bound gives a dramatically smaller yet
-    highly effective search; it is an underapproximation and is reported as
-    such by the callers.
-
-    [plan] (default none) runs every schedule under that {!Fault.plan}:
-    crashed threads contribute no further decisions, so the faulty search
-    space is a (usually much smaller) sibling of the fault-free one.
-
-    [prune] (default off, see the module preamble for the environment
-    overrides) enables fingerprint memoization and sleep-set pruning:
-    fewer runs are delivered, but every reachable terminal {e state} is
-    still represented, so property verdicts are preserved. Do not combine
-    with callbacks that count runs.
-
-    [domains] (default [1]) spreads the search over that many worker
-    domains (module preamble); [f] then runs concurrently and must be
-    thread-safe — or use {!exhaustive_collect}. *)
-
-val exhaustive_collect :
-  ?plan:Fault.plan ->
-  ?prune:bool ->
-  ?domains:int ->
-  setup:(Ctx.t -> Runner.program) ->
-  fuel:int ->
-  ?max_runs:int ->
-  ?preemption_bound:int ->
-  init:(unit -> 'acc) ->
-  f:('acc -> Runner.outcome -> unit) ->
-  unit ->
-  stats * 'acc array
-(** {!exhaustive} with per-task accumulators: [init] runs once per
-    work-stealing task (once in total when [domains = 1]) and [f] only
-    ever touches its own task's accumulator, so no callback
-    synchronisation is needed. The accumulators come back in canonical
-    rank order — folding them left visits the delivered outcomes in
-    exactly the sequential delivery order. *)
-
-val exhaustive_via_replay :
-  ?plan:Fault.plan ->
-  setup:(Ctx.t -> Runner.program) ->
-  fuel:int ->
-  ?max_runs:int ->
-  ?preemption_bound:int ->
-  f:(Runner.outcome -> unit) ->
-  unit ->
-  stats
-(** The seed's stateless engine: a whole-prefix {!Runner.replay} at every
-    DFS node. Delivers exactly the same outcomes in exactly the same order
-    as unpruned sequential {!exhaustive}; kept as the reference
-    implementation for cross-checking and for the B12 before/after cost
-    comparison ([replayed_steps] counts every program step it executes). *)
-
-val random :
-  setup:(Ctx.t -> Runner.program) ->
-  fuel:int ->
-  runs:int ->
-  seed:int64 ->
-  f:(Runner.outcome -> unit) ->
-  unit ->
-  stats
-(** [random ~setup ~fuel ~runs ~seed ~f ()] samples [runs] uniformly
-    scheduled executions. *)
-
-val check_all :
-  ?plan:Fault.plan ->
-  ?prune:bool ->
-  ?domains:int ->
-  setup:(Ctx.t -> Runner.program) ->
-  fuel:int ->
-  ?max_runs:int ->
-  ?preemption_bound:int ->
-  p:(Runner.outcome -> bool) ->
-  unit ->
-  (stats, Runner.outcome * stats) result
-(** [check_all ~setup ~fuel ~p ()] explores exhaustively and returns
-    [Error (o, _)] for the first outcome violating [p], short-circuiting
-    the search. [truncated] in the returned stats means the [max_runs]
-    budget capped the search, never that a counterexample stopped it — an
-    [Error] with [truncated = false] is a definitive refutation, an [Ok]
-    with [truncated = true] is inconclusive.
-
-    With [domains >= 2] the witness is still deterministic: workers share
-    a monotonically lowering best-failure task bound, so the surviving
-    counterexample is the first failure in canonical schedule order —
-    the same outcome the sequential search returns (the stats of an
-    [Error] differ: abandoned tasks stop counting early). *)
-
 (** {1 Exploration strategies}
 
-    Beyond the incremental DFS (with its opt-in fingerprint/sleep-set
-    pruning), exploration can run under an explicit {e strategy}:
-
-    - {!Dpor}: source-DPOR over the vector-clock happens-before relation
+    - [Dfs]: the walker, unbounded (with its opt-in pruning).
+    - [Dpor]: source-DPOR over the vector-clock happens-before relation
       ({!Deps}/{!Dpor}) — explores one interleaving per Mazurkiewicz trace
       of the over-approximated dependence. {e Complete}: verdicts are
       preserved exactly (every pruned schedule has a delivered equivalent
-      with byte-identical history, trace and results).
-    - {!Preemption_bounded}/{!Delay_bounded}: full enumeration within a
-      schedule-cost budget, iteratively deepened so level [c] delivers
-      exactly the cost-[c] runs. Honest {e underapproximations}, sound for
-      bug-finding; stats report [bounded = true] only if the bound
-      actually cut an edge.
+      with byte-identical history, trace and results). Composed with the
+      domains by root-splitting: the root frontier is fully expanded (a
+      superset of any backtrack set) and each root decision becomes one
+      rank-ordered task, applied identically at [domains = 1].
+    - [Preemption_bounded]/[Delay_bounded]: full enumeration within a
+      schedule-cost budget ({!Engine.cost_model}), iteratively deepened
+      so level [c] delivers exactly the cost-[c] runs: delivery order is
+      (cost, DFS) lexicographic at every domain count, and a first-failure
+      search stops at the first level holding a violation. Honest
+      {e underapproximations}, sound for bug-finding; stats report
+      [bounded = true] only if the final level actually cut an edge.
 
-    Strategies compose with the parallel front by root-splitting: the root
-    frontier is fully expanded (a superset of any backtrack set) and each
-    root decision becomes one rank-ordered task, applied identically at
-    [domains = 1] — so reports are byte-identical across domain counts by
-    construction. *)
+    Reports are byte-identical across domain counts by construction. *)
 
 type strategy =
-  | Dfs  (** the incremental DFS engine (with its env-controlled pruning) *)
+  | Dfs  (** the walker, unbounded (with its env-controlled pruning) *)
   | Dpor  (** source-DPOR: complete, verdict-preserving reduction *)
   | Preemption_bounded of { bound : int }
       (** at most [bound] preemptive context switches per run *)
@@ -247,6 +141,64 @@ val strategy_of_string : string -> strategy option
 
 val strategy_to_string : strategy -> string
 
+val exhaustive :
+  ?plan:Fault.plan ->
+  ?prune:bool ->
+  ?domains:int ->
+  ?strategy:strategy ->
+  setup:(Ctx.t -> Runner.program) ->
+  fuel:int ->
+  ?max_runs:int ->
+  f:(Runner.outcome -> unit) ->
+  unit ->
+  stats
+(** [exhaustive ~setup ~fuel ~f ()] calls [f] on the outcome of every
+    maximal schedule: one in which every thread returned, or which reached
+    [fuel] decisions (the outcome then has pending operations). [max_runs]
+    (default unlimited) aborts a blow-up; the result notes truncation.
+
+    [strategy] (default [Dfs]) selects the search (see above); e.g.
+    [~strategy:(Preemption_bounded { bound })] restricts it to schedules
+    with at most [bound] {e preemptions} — context switches away from a
+    thread that could still run (CHESS-style iterative context bounding,
+    Musuvathi & Qadeer). Most concurrency bugs manifest within very few
+    preemptions, so a small bound gives a dramatically smaller yet highly
+    effective search; it is an underapproximation and is reported as such
+    ([bounded]).
+
+    [plan] (default none) runs every schedule under that {!Fault.plan}:
+    crashed threads contribute no further decisions, so the faulty search
+    space is a (usually much smaller) sibling of the fault-free one.
+
+    [prune] (default off, see the module preamble for the environment
+    overrides) enables fingerprint memoization and sleep-set pruning on
+    [Dfs]: fewer runs are delivered, but every reachable terminal
+    {e state} is still represented, so property verdicts are preserved. Do
+    not combine with callbacks that count runs.
+
+    [domains] (default [1]) spreads the search over that many worker
+    domains (module preamble); [f] then runs concurrently and must be
+    thread-safe — or use {!exhaustive_collect}. *)
+
+val exhaustive_collect :
+  ?plan:Fault.plan ->
+  ?prune:bool ->
+  ?domains:int ->
+  ?strategy:strategy ->
+  setup:(Ctx.t -> Runner.program) ->
+  fuel:int ->
+  ?max_runs:int ->
+  init:(unit -> 'acc) ->
+  f:('acc -> Runner.outcome -> unit) ->
+  unit ->
+  stats * 'acc array
+(** {!exhaustive} with per-task accumulators: [init] runs once per
+    work-stealing task (once per deepening level, or once per root
+    decision under [Dpor]) and [f] only ever touches its own task's
+    accumulator, so no callback synchronisation is needed. The
+    accumulators come back in canonical order — folding them left visits
+    the delivered outcomes in exactly the sequential delivery order. *)
+
 val exhaustive_strategy :
   ?plan:Fault.plan ->
   strategy:strategy ->
@@ -257,28 +209,49 @@ val exhaustive_strategy :
   f:(Runner.outcome -> unit) ->
   unit ->
   stats
-(** Explore under [strategy]. [Dfs] delegates to {!exhaustive}; the other
-    strategies root-split as described above (even at [domains = 1]).
-    [max_runs] is enforced through a shared delivery gate; combine it with
-    [domains = 1] when the exact run {e set} must be deterministic. With
-    [domains >= 2] the callback runs concurrently from several domains —
-    use {!exhaustive_strategy_collect} unless it is thread-safe. *)
+(** {!exhaustive} with a mandatory [strategy] and the default pruning. *)
 
-val exhaustive_strategy_collect :
+val exhaustive_via_replay :
   ?plan:Fault.plan ->
-  strategy:strategy ->
-  ?domains:int ->
   setup:(Ctx.t -> Runner.program) ->
   fuel:int ->
   ?max_runs:int ->
-  init:(unit -> 'acc) ->
-  f:('acc -> Runner.outcome -> unit) ->
+  ?preemption_bound:int ->
+  f:(Runner.outcome -> unit) ->
   unit ->
-  stats * 'acc array
-(** Like {!exhaustive_strategy} with one accumulator per root-split task,
-    returned in canonical rank order (task order = root frontier order),
-    so merging accumulators in array order is deterministic and
-    domain-count-invariant. *)
+  stats
+(** The seed's stateless engine and the reference oracle: a whole-prefix
+    {!Runner.replay} at every DFS node, with a single-pass
+    [preemption_bound] (default unlimited). Unbounded, it delivers exactly
+    the same outcomes in exactly the same order as unpruned [Dfs]; with a
+    bound, its DFS-order runs stably sorted by preemption cost are exactly
+    the [Preemption_bounded] delivery order. Kept for cross-checking and
+    for the B12 before/after cost comparison ([replayed_steps] counts
+    every program step it executes). *)
+
+val check_all :
+  ?plan:Fault.plan ->
+  ?prune:bool ->
+  ?domains:int ->
+  ?strategy:strategy ->
+  setup:(Ctx.t -> Runner.program) ->
+  fuel:int ->
+  ?max_runs:int ->
+  p:(Runner.outcome -> bool) ->
+  unit ->
+  (stats, Runner.outcome * stats) result
+(** [check_all ~setup ~fuel ~p ()] explores exhaustively and returns
+    [Error (o, _)] for the first outcome violating [p] in delivery order,
+    short-circuiting the search. [truncated] in the returned stats means
+    the [max_runs] budget capped the search, never that a counterexample
+    stopped it — an [Error] with [truncated = false] is a definitive
+    refutation, an [Ok] with [truncated = true] is inconclusive.
+
+    With [domains >= 2] the witness is still deterministic: workers share
+    a monotonically lowering best-failure task bound, so the surviving
+    counterexample is the first failure in canonical schedule order —
+    the same outcome the sequential search returns (the stats of an
+    [Error] differ: abandoned tasks stop counting early). *)
 
 val races_of :
   ?plan:Fault.plan ->
@@ -295,7 +268,13 @@ val races_of_durable :
   Runner.schedule ->
   Cal.Witness.race list
 
-(** {1 Fault exploration} *)
+(** {1 Fault exploration}
+
+    The fault, crash and liveness sweeps take [?strategy] (default [Dfs];
+    never read from the environment): a bounded strategy bounds every
+    plan's exploration. [Dpor] raises [Invalid_argument] — its dependence
+    analysis covers neither fault plans, persistent cells nor path
+    state. *)
 
 type fault_stats = {
   plans : int;          (** fault plans explored, including the empty plan *)
@@ -309,16 +288,17 @@ type fault_stats = {
   fault_tasks_stolen : int;      (** {!stats.tasks_stolen} summed *)
   fault_domains_used : int;      (** {!stats.domains_used} maxed *)
   fault_domains_requested : int; (** {!stats.domains_requested} maxed *)
+  fault_bound_hits : int;        (** {!stats.bound_hits} summed *)
 }
 
 val exhaustive_with_faults :
   ?delay_factors:int list ->
   ?prune:bool ->
   ?domains:int ->
+  ?strategy:strategy ->
   setup:(Ctx.t -> Runner.program) ->
   fuel:int ->
   ?max_runs:int ->
-  ?preemption_bound:int ->
   ?max_plans:int ->
   fault_bound:int ->
   f:(Runner.outcome -> unit) ->
@@ -366,10 +346,10 @@ val exhaustive_with_faults_collect :
   ?delay_factors:int list ->
   ?prune:bool ->
   ?domains:int ->
+  ?strategy:strategy ->
   setup:(Ctx.t -> Runner.program) ->
   fuel:int ->
   ?max_runs:int ->
-  ?preemption_bound:int ->
   ?max_plans:int ->
   fault_bound:int ->
   init:(unit -> 'acc) ->
@@ -383,10 +363,10 @@ val exhaustive_with_faults_collect :
 val exhaustive_durable :
   plan:Fault.plan ->
   ?domains:int ->
+  ?strategy:strategy ->
   setup:(Ctx.t -> Runner.durable) ->
   fuel:int ->
   ?max_runs:int ->
-  ?preemption_bound:int ->
   f:(Runner.outcome -> unit) ->
   unit ->
   stats
@@ -399,10 +379,10 @@ val exhaustive_durable :
 
 val exhaustive_with_crashes :
   ?delay_factors:int list ->
+  ?strategy:strategy ->
   setup:(Ctx.t -> Runner.durable) ->
   fuel:int ->
   ?max_runs:int ->
-  ?preemption_bound:int ->
   ?max_plans:int ->
   ?max_crash_depth:int ->
   ?fault_bound:int ->
@@ -499,11 +479,11 @@ type liveness_stats = {
 
 val liveness :
   ?plan:Fault.plan ->
+  ?strategy:strategy ->
   setup:(Ctx.t -> Runner.program) ->
   fuel:int ->
   window:int ->
   ?max_runs:int ->
-  ?preemption_bound:int ->
   unit ->
   liveness_stats
 (** Exhaustively explore (like {!exhaustive}) and classify every maximal
@@ -518,11 +498,11 @@ val liveness :
 
 val liveness_with_faults :
   ?delay_factors:int list ->
+  ?strategy:strategy ->
   setup:(Ctx.t -> Runner.program) ->
   fuel:int ->
   window:int ->
   ?max_runs:int ->
-  ?preemption_bound:int ->
   ?max_plans:int ->
   fault_bound:int ->
   unit ->
@@ -549,5 +529,8 @@ val failure_depth :
     8). [`Fails_at (d, o)] means the property first fails with [d]
     preemptions — the counterexample [o] has a minimal number of context
     switches, which makes it far easier to read than an arbitrary failing
-    schedule. [`Holds] means no violation was found within the bound (the
-    stats are those of the largest bound explored). *)
+    schedule. One level-major {!check_all} with
+    [Preemption_bounded { bound = max_bound }]: levels below the failing
+    one are explored once, and [max_runs] budgets the whole search.
+    [`Holds] means no violation was found within the bound (the stats are
+    the whole bounded search's). *)

@@ -1,21 +1,19 @@
 (* Work-stealing parallel exploration over OCaml 5 domains (DESIGN §2.11).
 
-   Dynamic cooperative splitting. There is no up-front task partition: the
-   whole schedule tree starts as one task, and splitting happens on demand
-   while workers explore. Each worker runs the incremental DFS with an
-   explicit, worker-private stack of frames (one per open node: the
-   branches not yet descended plus the scheduling state of that node). A
-   shared [hungry] counter says how many workers currently have nothing to
-   run; whenever it is positive, a busy worker that has descended at
-   least one edge of its current task donates the {e entire remaining
-   branch list of its shallowest open frame} — the biggest available
-   chunk — as a new task into a small mutex-guarded pool. An
-   idle worker claims it, reconstructs the frame by replaying the node's
-   prefix on its own private {!Runner} cursor, and continues the
-   iteration exactly where the donor would have — including further
-   donations, so big subtrees keep splitting as long as anyone is idle.
-   The only synchronisation on the hot descend/backtrack path is one
-   atomic load per node.
+   This module is only the pool; the walk is {!Engine.dfs}. Dynamic
+   cooperative splitting: there is no up-front task partition — the whole
+   schedule tree starts as one task, and splitting happens on demand while
+   workers explore. A shared [hungry] counter says how many workers
+   currently have nothing to run; the walker consults it through its
+   donation hook and, whenever it is positive, a busy walk that has
+   descended at least one edge donates the {e entire remaining branch list
+   of its shallowest open frame} — the biggest available chunk — as a new
+   task into a small mutex-guarded pool. An idle worker claims it and
+   resumes the walk there (one prefix replay on its own private {!Runner}
+   cursor), exactly where the donor would have continued — including
+   further donations, so big subtrees keep splitting as long as anyone is
+   idle. The only synchronisation on the hot descend/backtrack path is one
+   atomic load per node. A bounded level is split the same way.
 
    Determinism. Every task owns a {e contiguous interval} of the
    canonical (sequential DFS) leaf order: a donation always takes the
@@ -45,43 +43,7 @@
    everything the report contract covers — are byte-identical across
    domain counts and executions. *)
 
-type labelled = Runner.decision * string
-
-(* A donated chunk: the tail of some node's branch list, plus everything
-   needed to resume the node's iteration elsewhere — the prefix to replay,
-   the node's scheduling state, the siblings already descended (feeding
-   later sleep sets), and the global rank of the first donated branch. *)
-type chunk = {
-  k_rank : int list;            (* branch-index path to the first branch *)
-  k_node_rank_rev : int list;   (* path to the node itself, newest first *)
-  k_prefix : Runner.decision list;
-  k_depth : int;
-  k_last : int option;
-  k_preemptions : int;
-  k_last_enabled : bool;
-  k_sleep : labelled list;
-  k_explored : labelled list;   (* descended siblings, newest first *)
-  k_rest : labelled list;       (* the branches this chunk owns, in order *)
-  k_base : int;                 (* branch index of [hd k_rest] at the node *)
-}
-
-type task = Root | Chunk of chunk
-
-(* One open node of a worker's DFS. The frame stack mirrors the native
-   call stack; it exists so donation can scan for the shallowest frame
-   with undescended branches. Owner-private: no locking. *)
-type frame = {
-  fr_depth : int;
-  fr_prefix_rev : Runner.decision list;
-  fr_rank_rev : int list;
-  fr_last : int option;
-  fr_preemptions : int;
-  fr_last_enabled : bool;
-  fr_sleep : labelled list;
-  mutable fr_explored : labelled list;
-  mutable fr_rest : labelled list;
-  mutable fr_next : int;  (* branch index of [hd fr_rest] *)
-}
+type task = Root | Chunk of unit Engine.chunk
 
 (* The task pool. [p_hungry] is the lock-free donation signal (workers
    not currently executing a task); the queue, idle count and termination
@@ -91,7 +53,7 @@ type frame = {
 type pool = {
   p_mutex : Mutex.t;
   p_cond : Condition.t;
-  mutable p_queue : chunk list;
+  mutable p_queue : unit Engine.chunk list;
   mutable p_idle : int;
   mutable p_finished : bool;
   mutable p_root_taken : bool;
@@ -187,312 +149,114 @@ let effective_domains requested =
 
 (* ----------------------------------------------------- parallel explore -- *)
 
-let explore ~prune ~domains ?max_runs ?preemption_bound ~restart ~fuel ~init
-    ~f ?stop_on () =
+let explore ~prune ~domains ?max_runs ?level ~restart ~fuel ~init ~f ?stop_on
+    () =
   let requested = max 1 domains in
-  let domains = effective_domains requested in
-  let donate_min = Cal.Tuning.explore_donation_min_height () in
-  let budget = Option.map Atomic.make max_runs in
-  let gate = Option.map (fun b () -> Atomic.fetch_and_add b (-1) > 0) budget in
-  (* Deterministic first-failure bound: the lowest start rank of a task
-     that found a failure ([None] = none yet). Strictly-later tasks are
-     whole intervals the sequential engine would never reach. *)
-  let best = Atomic.make (None : int list option) in
-  let rec lower rank =
-    match Atomic.get best with
-    | Some b when compare b rank <= 0 -> ()
-    | cur -> if not (Atomic.compare_and_set best cur (Some rank)) then lower rank
+  let leaf_of acc ~on_stop o _ () =
+    f acc o;
+    match stop_on with
+    | Some hit when hit acc o ->
+        on_stop ();
+        raise Engine.Stop
+    | _ -> ()
   in
-  let pool = new_pool ~domains in
-  let within_budget used =
-    match preemption_bound with None -> true | Some b -> used <= b
+  let walk ?max_runs ?gate ?donor ?resume acc ~on_stop =
+    Engine.dfs ~restart ~fuel ?max_runs ~prune ?level ?gate ?donor ?resume
+      ~init_path:()
+      ~step_path:(fun () _ _ -> ())
+      ~leaf:(leaf_of acc ~on_stop) ()
   in
-  let results = Array.make domains [] in
-  let worker w () =
-    let out = ref [] in
-    let run_task task =
-      let rank, prefix, depth0 =
-        match task with
-        | Root -> ([], [], 0)
-        | Chunk c -> (c.k_rank, c.k_prefix, c.k_depth)
-      in
-      let exec = ref (restart ()) in
-      List.iter (fun d -> ignore (Runner.step !exec d)) prefix;
-      let runs = ref 0 and truncated = ref false and max_steps = ref 0 in
-      let nodes = ref 0 and replayed = ref depth0 in
-      let fp_hits = ref 0 and slept = ref 0 in
-      let memo : (string, unit) Hashtbl.t =
-        if prune then
-          Hashtbl.create
-            (Cal.Tuning.explore_memo_size ~fuel
-               ~threads:(Engine.threads_of !exec))
-        else Hashtbl.create 1
-      in
-      let acc = init () in
-      let exception Task_done in
-      let deliver () =
-        (match gate with
-        | Some admit when not (admit ()) ->
-            truncated := true;
-            raise Engine.Stop
-        | _ -> ());
-        let o = Runner.outcome !exec in
-        f acc o;
-        incr runs;
-        if o.Runner.steps > !max_steps then max_steps := o.Runner.steps;
-        match stop_on with
-        | Some hit when hit acc o ->
-            lower rank;
-            raise Task_done
-        | _ -> ()
-      in
-      let abandoned () =
-        match stop_on with
-        | None -> false
-        | Some _ -> (
-            match Atomic.get best with
-            | Some b -> compare b rank < 0
-            | None -> false)
-      in
-      (* Per-task frame stack, shallowest first. *)
-      let frames = ref [||] and ntop = ref 0 in
-      (* A task donates only after it has descended at least one edge.
-         Without this, a freshly claimed chunk whose owner sees a hungry
-         peer donates its {e entire} branch list back to the pool before
-         doing any work — and with several workers timesharing few cores
-         the chunk circulates as a hot potato, each hop burning a full
-         prefix replay and a result entry while one worker does all the
-         real work (observed: ~90 donations per delivered run). Requiring
-         one descended edge first makes every hop shrink the interval, so
-         total donations are bounded by the tree's edge count. *)
-      let started = ref false in
-      let push fr =
-        let arr = !frames in
-        let cap = Array.length arr in
-        if !ntop >= cap then begin
-          let arr' = Array.make (max 16 (2 * cap)) fr in
-          Array.blit arr 0 arr' 0 cap;
-          frames := arr'
-        end;
-        !frames.(!ntop) <- fr;
-        incr ntop
-      in
-      let pop () = decr ntop in
-      (* Donate the shallowest frame's remaining branches — the canonical
-         tail of this task's remaining work — when there are more hungry
-         workers than chunks already waiting for them (without the
-         pending bound, oversubscribed runs over-split: some worker is
-         always between tasks, and every busy worker would shed work on
-         every node). Frames whose subtree height is below the grain
-         threshold are skipped: handing out a few leaves costs more than
-         running them. *)
-      let maybe_donate () =
-        if !started && Atomic.get pool.p_hungry > Atomic.get pool.p_pending
-        then begin
-          let arr = !frames and n = !ntop in
-          let rec find i =
-            if i >= n then ()
-            else
-              let fr = arr.(i) in
-              if fr.fr_rest <> [] && fuel - fr.fr_depth >= donate_min then begin
-                donate pool
-                  {
-                    k_rank = List.rev (fr.fr_next :: fr.fr_rank_rev);
-                    k_node_rank_rev = fr.fr_rank_rev;
-                    k_prefix = List.rev fr.fr_prefix_rev;
-                    k_depth = fr.fr_depth;
-                    k_last = fr.fr_last;
-                    k_preemptions = fr.fr_preemptions;
-                    k_last_enabled = fr.fr_last_enabled;
-                    k_sleep = fr.fr_sleep;
-                    k_explored = fr.fr_explored;
-                    k_rest = fr.fr_rest;
-                    k_base = fr.fr_next;
-                  };
-                fr.fr_rest <- []
-              end
-              else find (i + 1)
-          in
-          find 0
-        end
-      in
-      let ensure_at depth prefix_rev =
-        if Runner.steps_done !exec <> depth then begin
-          let e = restart () in
-          List.iter (fun d -> ignore (Runner.step e d)) (List.rev prefix_rev);
-          replayed := !replayed + depth;
-          exec := e
-        end
-      in
-      let rec expand ~depth ~prefix_rev ~rank_rev ~last ~preemptions ~sleep =
-        if abandoned () then raise Engine.Abandoned;
-        incr nodes;
-        let frontier = Runner.frontier !exec in
-        if frontier = [] || depth >= fuel then deliver ()
-        else begin
-          let pruned_here =
-            prune
-            &&
-            let fp = Runner.fingerprint !exec in
-            if Hashtbl.mem memo fp then true
-            else begin
-              Hashtbl.add memo fp ();
-              false
-            end
-          in
-          if pruned_here then incr fp_hits
-          else begin
-            let labelled =
-              List.map
-                (fun (d : Runner.decision) ->
-                  ( d,
-                    Option.value ~default:""
-                      (Runner.head_label !exec d.thread) ))
-                frontier
-            in
-            let last_enabled =
-              List.exists
-                (fun (d : Runner.decision) -> Some d.thread = last)
-                frontier
-            in
-            let fr =
-              {
-                fr_depth = depth;
-                fr_prefix_rev = prefix_rev;
-                fr_rank_rev = rank_rev;
-                fr_last = last;
-                fr_preemptions = preemptions;
-                fr_last_enabled = last_enabled;
-                fr_sleep = sleep;
-                fr_explored = [];
-                fr_rest = labelled;
-                fr_next = 0;
-              }
-            in
-            push fr;
-            iterate fr;
-            pop ()
-          end
-        end
-      and iterate fr =
-        maybe_donate ();
-        match fr.fr_rest with
-        | [] -> ()
-        | (d, l) :: rest ->
-            fr.fr_rest <- rest;
-            let idx = fr.fr_next in
-            fr.fr_next <- idx + 1;
-            let cost =
-              if fr.fr_last_enabled && Some d.thread <> fr.fr_last then
-                fr.fr_preemptions + 1
-              else fr.fr_preemptions
-            in
-            if within_budget cost then begin
-              if
-                prune
-                && List.exists
-                     (fun ((s : Runner.decision), _) ->
-                       s.thread = d.thread && s.branch = d.branch)
-                     fr.fr_sleep
-              then incr slept
-              else begin
-                ensure_at fr.fr_depth fr.fr_prefix_rev;
-                ignore (Runner.step !exec d);
-                started := true;
-                let sleep' =
-                  if prune then
-                    List.filter
-                      (fun s -> Engine.independent s (d, l))
-                      (fr.fr_sleep @ List.rev fr.fr_explored)
-                  else []
-                in
-                expand ~depth:(fr.fr_depth + 1)
-                  ~prefix_rev:(d :: fr.fr_prefix_rev)
-                  ~rank_rev:(idx :: fr.fr_rank_rev) ~last:(Some d.thread)
-                  ~preemptions:cost ~sleep:sleep';
-                fr.fr_explored <- (d, l) :: fr.fr_explored
-              end
-            end;
-            iterate fr
-      in
-      (try
-         match task with
-         | Root ->
-             expand ~depth:0 ~prefix_rev:[] ~rank_rev:[] ~last:None
-               ~preemptions:0 ~sleep:[]
-         | Chunk c ->
-             (* The donor counted (and, under pruning, memoized) this node
-                when it expanded it; the chunk resumes mid-iteration. *)
-             let fr =
-               {
-                 fr_depth = c.k_depth;
-                 fr_prefix_rev = List.rev c.k_prefix;
-                 fr_rank_rev = c.k_node_rank_rev;
-                 fr_last = c.k_last;
-                 fr_preemptions = c.k_preemptions;
-                 fr_last_enabled = c.k_last_enabled;
-                 fr_sleep = c.k_sleep;
-                 fr_explored = c.k_explored;
-                 fr_rest = c.k_rest;
-                 fr_next = c.k_base;
-               }
-             in
-             if abandoned () then raise Engine.Abandoned;
-             push fr;
-             iterate fr;
-             pop ()
-       with Engine.Stop | Engine.Abandoned | Task_done -> ());
-      let stats =
-        {
-          Engine.empty_stats with
-          Engine.runs = !runs;
-          truncated = !truncated;
-          max_steps = !max_steps;
-          nodes = !nodes;
-          replayed_steps = !replayed;
-          fingerprint_hits = !fp_hits;
-          sleep_pruned = !slept;
-        }
-      in
-      (rank, stats, acc)
+  if requested = 1 then begin
+    let acc = init () in
+    (walk ?max_runs acc ~on_stop:ignore, [| acc |])
+  end
+  else begin
+    let domains = effective_domains requested in
+    let budget = Option.map Atomic.make max_runs in
+    let gate =
+      Option.map (fun b () -> Atomic.fetch_and_add b (-1) > 0) budget
     in
-    let rec loop () =
-      match claim pool with
-      | None -> ()
-      | Some task ->
-          (match (try Some (run_task task) with e -> fail pool e; None) with
-          | Some r -> out := r :: !out
-          | None -> ());
-          Atomic.incr pool.p_hungry;
-          loop ()
+    (* Deterministic first-failure bound: the lowest start rank of a task
+       that found a failure ([None] = none yet). Strictly-later tasks are
+       whole intervals the sequential walk would never reach. *)
+    let best = Atomic.make (None : int list option) in
+    let rec lower rank =
+      match Atomic.get best with
+      | Some b when compare b rank <= 0 -> ()
+      | cur ->
+          if not (Atomic.compare_and_set best cur (Some rank)) then lower rank
     in
-    loop ();
-    results.(w) <- !out
-  in
-  let spawned =
-    List.init (domains - 1) (fun k -> Domain.spawn (worker (k + 1)))
-  in
-  worker 0 ();
-  List.iter Domain.join spawned;
-  (match Atomic.get pool.p_failure with Some e -> raise e | None -> ());
-  let entries =
-    Array.to_list results |> List.concat
-    |> List.sort (fun (r1, _, _) (r2, _, _) -> compare r1 r2)
-  in
-  let merged =
-    List.fold_left
-      (fun m (_, s, _) -> Engine.merge_stats m s)
-      Engine.empty_stats entries
-  in
-  let stats =
-    {
-      merged with
-      Engine.tasks_stolen = pool.p_stolen;
-      domains_used = domains;
-      domains_requested = requested;
-    }
-  in
-  (stats, Array.of_list (List.map (fun (_, _, a) -> a) entries))
+    let pool = new_pool ~domains in
+    (* Donate when there are more hungry workers than chunks already
+       waiting for them: without the pending bound, oversubscribed runs
+       over-split — some worker is always between tasks, and every busy
+       worker would shed work on every node. *)
+    let hungry () = Atomic.get pool.p_hungry > Atomic.get pool.p_pending in
+    let results = Array.make domains [] in
+    let worker w () =
+      let run_task task =
+        let rank, resume =
+          match task with
+          | Root -> ([], None)
+          | Chunk c -> (Engine.chunk_rank c, Some c)
+        in
+        let abandoned () =
+          Option.is_some stop_on
+          &&
+          match Atomic.get best with
+          | Some b -> compare b rank < 0
+          | None -> false
+        in
+        let donor =
+          { Engine.hungry; donate = (fun c -> donate pool c); abandoned }
+        in
+        let acc = init () in
+        let stats =
+          walk ?gate ~donor ?resume acc ~on_stop:(fun () -> lower rank)
+        in
+        (rank, stats, acc)
+      in
+      let rec loop out =
+        match claim pool with
+        | None -> results.(w) <- out
+        | Some task ->
+            let out =
+              match run_task task with
+              | r -> r :: out
+              | exception e ->
+                  fail pool e;
+                  out
+            in
+            Atomic.incr pool.p_hungry;
+            loop out
+      in
+      loop []
+    in
+    let spawned =
+      List.init (domains - 1) (fun k -> Domain.spawn (worker (k + 1)))
+    in
+    worker 0 ();
+    List.iter Domain.join spawned;
+    (match Atomic.get pool.p_failure with Some e -> raise e | None -> ());
+    let entries =
+      Array.to_list results |> List.concat
+      |> List.sort (fun (r1, _, _) (r2, _, _) -> compare r1 r2)
+    in
+    let merged =
+      List.fold_left
+        (fun m (_, s, _) -> Engine.merge_stats m s)
+        Engine.empty_stats entries
+    in
+    let stats =
+      {
+        merged with
+        Engine.tasks_stolen = pool.p_stolen;
+        domains_used = domains;
+        domains_requested = requested;
+      }
+    in
+    (stats, Array.of_list (List.map (fun (_, _, a) -> a) entries))
+  end
 
 (* Generic deterministic parallel map over an explicit task array (used by
    the plan fan-out of the fault sweep): items are claimed with one atomic

@@ -17,8 +17,9 @@
     start rank and abandon only tasks strictly after a failed interval,
     so the surviving lowest-rank witness is the sequential one.
 
-    Most callers want {!Explore} with [~domains]; this module is the
-    parallel engine room.
+    Most callers want {!Explore} with [~domains]. This module is only the
+    pool — task claiming, donation, rank merge — around the one walker,
+    {!Engine.dfs}, which it drives with a donation hook.
 
     A requested domain count is capped at
     [Domain.recommended_domain_count] ({!effective_domains}): domains
@@ -41,7 +42,7 @@ val explore :
   prune:bool ->
   domains:int ->
   ?max_runs:int ->
-  ?preemption_bound:int ->
+  ?level:Engine.cost_model * int ->
   restart:(unit -> Runner.exec) ->
   fuel:int ->
   init:(unit -> 'acc) ->
@@ -50,7 +51,9 @@ val explore :
   unit ->
   Engine.stats * 'acc array
 (** Explore the whole schedule tree of [restart] across [domains] worker
-    domains. Each task gets its own accumulator ([init] runs once per
+    domains ([level]: one deepening level, see {!Engine.dfs}). With
+    [domains = 1] this is a single walk with no donation hook and a local
+    [max_runs] budget. Each task gets its own accumulator ([init] runs once per
     task); the accumulators are returned in canonical rank order, so
     folding them left reproduces the sequential delivery order. [f] runs
     concurrently from several domains but only ever on its own task's

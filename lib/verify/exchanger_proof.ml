@@ -143,7 +143,7 @@ let make ex ctx =
 
 type report = { runs : int; steps_checked : int; violations : Rg.violation list }
 
-let check_program ~threads ~fuel ?max_runs ?preemption_bound () =
+let check_program ~threads ~fuel ?max_runs ?strategy () =
   let runs = ref 0 in
   let steps = ref 0 in
   let violations = ref [] in
@@ -169,7 +169,7 @@ let check_program ~threads ~fuel ?max_runs ?preemption_bound () =
       on_label = None;
     }
   in
-  let _stats = Conc.Explore.exhaustive ~setup ~fuel ?max_runs ?preemption_bound ~f:(fun _ -> incr runs) () in
+  let _stats = Conc.Explore.exhaustive ~setup ~fuel ?max_runs ?strategy ~f:(fun _ -> incr runs) () in
   { runs = !runs; steps_checked = !steps; violations = !violations }
 
 let ok r = r.violations = []

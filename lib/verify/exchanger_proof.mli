@@ -38,7 +38,7 @@ val check_program :
   threads:(Conc.Ctx.t -> Structures.Exchanger.t -> Cal.Value.t Conc.Prog.t array) ->
   fuel:int ->
   ?max_runs:int ->
-  ?preemption_bound:int ->
+  ?strategy:Conc.Explore.strategy ->
   unit ->
   report
 (** Exhaustively explore the client program [threads] (each thread [i] runs

@@ -190,26 +190,17 @@ let check_outcome ~spec ~view (outcome : Conc.Runner.outcome) =
           | Error msg -> Error ("agreement obligation: " ^ msg)
           | Ok _ -> Ok ()))
 
-let collect ?domains ?strategy ~setup ~fuel ?max_runs ?preemption_bound
-    ~check () =
-  let domains = resolve_domains ~max_runs domains in
+let collect ?domains ?strategy ~setup ~fuel ?max_runs ~check () =
   let stats, accs =
-    match resolve_strategy strategy with
-    | Conc.Explore.Dfs ->
-        Conc.Explore.exhaustive_collect ~domains ~setup ~fuel ?max_runs
-          ?preemption_bound ~init:new_acc ~f:(record check) ()
-    | strategy ->
-        (* the legacy DFS [preemption_bound] pruner is subsumed by the
-           [Preemption_bounded] strategy; off the Dfs path it is ignored
-           rather than composed, so the strategy alone defines the run set *)
-        Conc.Explore.exhaustive_strategy_collect ~strategy ~domains ~setup
-          ~fuel ?max_runs ~init:new_acc ~f:(record check) ()
+    Conc.Explore.exhaustive_collect
+      ~domains:(resolve_domains ~max_runs domains)
+      ~strategy:(resolve_strategy strategy) ~setup ~fuel ?max_runs
+      ~init:new_acc ~f:(record check) ()
   in
   report_of ~exploration:stats ~truncated:stats.truncated accs
 
-let check_object ?domains ?strategy ~setup ~spec ~view ~fuel ?max_runs
-    ?preemption_bound () =
-  collect ?domains ?strategy ~setup ~fuel ?max_runs ?preemption_bound
+let check_object ?domains ?strategy ~setup ~spec ~view ~fuel ?max_runs () =
+  collect ?domains ?strategy ~setup ~fuel ?max_runs
     ~check:(check_outcome ~spec ~view) ()
 
 (* Collapse the per-plan counters of a fault/crash sweep into the single
@@ -228,14 +219,16 @@ let fault_exploration (stats : Conc.Explore.fault_stats) =
       tasks_stolen = stats.fault_tasks_stolen;
       domains_used = stats.fault_domains_used;
       domains_requested = stats.fault_domains_requested;
+      bound_hits = stats.fault_bound_hits;
+      bounded = stats.fault_bound_hits > 0;
     }
 
-let check_object_with_faults ?delay_factors ?domains ~setup ~spec ~view ~fuel
-    ?max_runs ?preemption_bound ?max_plans ~fault_bound () =
+let check_object_with_faults ?delay_factors ?domains ?strategy ~setup ~spec
+    ~view ~fuel ?max_runs ?max_plans ~fault_bound () =
   let domains = resolve_domains ~max_runs domains in
   let stats, accs =
-    Conc.Explore.exhaustive_with_faults_collect ?delay_factors ~domains ~setup
-      ~fuel ?max_runs ?preemption_bound ?max_plans ~fault_bound ~init:new_acc
+    Conc.Explore.exhaustive_with_faults_collect ?delay_factors ~domains
+      ?strategy ~setup ~fuel ?max_runs ?max_plans ~fault_bound ~init:new_acc
       ~f:(record (check_outcome ~spec ~view))
       ()
   in
@@ -272,15 +265,15 @@ let liveness_report ~fuel ~window (stats : Conc.Explore.liveness_stats) =
     sampling = None;
   }
 
-let check_liveness ?plan ~setup ~fuel ~window ?max_runs ?preemption_bound () =
+let check_liveness ?plan ?strategy ~setup ~fuel ~window ?max_runs () =
   liveness_report ~fuel ~window
-    (Conc.Explore.liveness ?plan ~setup ~fuel ~window ?max_runs ?preemption_bound ())
+    (Conc.Explore.liveness ?plan ?strategy ~setup ~fuel ~window ?max_runs ())
 
-let check_liveness_with_faults ?delay_factors ~setup ~fuel ~window ?max_runs
-    ?preemption_bound ?max_plans ~fault_bound () =
+let check_liveness_with_faults ?delay_factors ?strategy ~setup ~fuel ~window
+    ?max_runs ?max_plans ~fault_bound () =
   let _plans, stats =
-    Conc.Explore.liveness_with_faults ?delay_factors ~setup ~fuel ~window
-      ?max_runs ?preemption_bound ?max_plans ~fault_bound ()
+    Conc.Explore.liveness_with_faults ?delay_factors ?strategy ~setup ~fuel
+      ~window ?max_runs ?max_plans ~fault_bound ()
   in
   liveness_report ~fuel ~window stats
 
@@ -290,8 +283,8 @@ let check_liveness_with_faults ?delay_factors ~setup ~fuel ~window ?max_runs
    structure share one checker run through the verdict cache. Trace-based
    checks ({!check_object}) are never cached: their verdict also depends on
    the auxiliary trace, which the canonical key does not cover. *)
-let check_black_box ?domains ?strategy ?cache ~setup ~spec ~fuel ?max_runs
-    ?preemption_bound () =
+let check_black_box ?domains ?strategy ?cache ~setup ~spec ~fuel ?max_runs ()
+    =
   let vc = new_cache cache in
   let base (outcome : Conc.Runner.outcome) () =
     match Cal_checker.check ~spec outcome.history with
@@ -307,8 +300,7 @@ let check_black_box ?domains ?strategy ?cache ~setup ~spec ~fuel ?max_runs
           (base outcome)
   in
   patch_cache vc
-    (collect ?domains ?strategy ~setup ~fuel ?max_runs ?preemption_bound
-       ~check ())
+    (collect ?domains ?strategy ~setup ~fuel ?max_runs ~check ())
 
 (* ------------------------------------------------ durable obligations -- *)
 
@@ -352,9 +344,8 @@ let durable_key ~checker (outcome : Conc.Runner.outcome) =
   ^ "\n"
   ^ History.canonical_key outcome.history
 
-let check_durable_with_faults ?(checker = `Cal) ?cache ?delay_factors ~setup
-    ~spec ~fuel ?max_runs ?preemption_bound ?max_plans ?max_crash_depth
-    ~fault_bound () =
+let check_durable_with_faults ?(checker = `Cal) ?cache ?delay_factors ?strategy
+    ~setup ~spec ~fuel ?max_runs ?max_plans ?max_crash_depth ~fault_bound () =
   let vc = new_cache cache in
   let check outcome =
     match vc with
@@ -365,8 +356,8 @@ let check_durable_with_faults ?(checker = `Cal) ?cache ?delay_factors ~setup
   in
   let acc = new_acc () in
   let stats =
-    Conc.Explore.exhaustive_with_crashes ?delay_factors ~setup ~fuel ?max_runs
-      ?preemption_bound ?max_plans ?max_crash_depth ~fault_bound
+    Conc.Explore.exhaustive_with_crashes ?delay_factors ?strategy ~setup ~fuel
+      ?max_runs ?max_plans ?max_crash_depth ~fault_bound
       ~f:(record check acc) ()
   in
   patch_cache vc
@@ -374,10 +365,10 @@ let check_durable_with_faults ?(checker = `Cal) ?cache ?delay_factors ~setup
        ~exploration:(fault_exploration stats)
        ~truncated:stats.Conc.Explore.fault_truncated [| acc |])
 
-let check_durable ?checker ?cache ~setup ~spec ~fuel ?max_runs
-    ?preemption_bound ?max_plans ?max_crash_depth () =
-  check_durable_with_faults ?checker ?cache ~setup ~spec ~fuel ?max_runs
-    ?preemption_bound ?max_plans ?max_crash_depth ~fault_bound:0 ()
+let check_durable ?checker ?cache ?strategy ~setup ~spec ~fuel ?max_runs
+    ?max_plans ?max_crash_depth () =
+  check_durable_with_faults ?checker ?cache ?strategy ~setup ~spec ~fuel
+    ?max_runs ?max_plans ?max_crash_depth ~fault_bound:0 ()
 
 (* ------------------------------------------------- sampled obligations -- *)
 

@@ -26,17 +26,19 @@
     determinism), and the liveness and durable crash-sweep checks are
     deliberately sequential (DESIGN §2.11).
 
-    {b Exploration strategies.} {!check_object} and {!check_black_box}
-    take [?strategy] (default: the [CAL_EXPLORE_STRATEGY] environment
-    variable parsed with {!Conc.Explore.strategy_of_string}, else
-    {!Conc.Explore.Dfs}): [Dpor] runs the verdict-preserving source-DPOR
-    reduction, [Preemption_bounded]/[Delay_bounded] run the iteratively
-    deepened bounded searches — sound for bug-finding, with the report's
-    [exploration] honestly flagging [bounded = true] whenever the bound
-    actually cut an edge. Off the [Dfs] path the legacy
-    [preemption_bound] pruner is ignored (the strategy alone defines the
-    run set). The fault, durable and liveness sweeps always run the
-    plain engine.
+    {b Exploration strategies.} Every exhaustive check takes [?strategy]
+    ({!Conc.Explore.strategy}); it is the only way to bound a search.
+    [Dpor] runs the verdict-preserving source-DPOR reduction;
+    [Preemption_bounded]/[Delay_bounded] run the iteratively deepened
+    bounded searches — sound for bug-finding, with the report's
+    [exploration] honestly flagging [bounded = true] (and printing
+    [bounded (N bound hits)]) whenever the bound actually cut an edge.
+    For {!check_object} and {!check_black_box} the default is the
+    [CAL_EXPLORE_STRATEGY] environment variable parsed with
+    {!Conc.Explore.strategy_of_string}, else {!Conc.Explore.Dfs}; an
+    explicit strategy always wins over the variable. The fault, durable
+    and liveness sweeps default to [Dfs], never read the variable, and
+    reject [Dpor] with [Invalid_argument].
 
     {b Verdict cache.} The black-box checks ({!check_black_box},
     {!check_durable}, {!check_durable_with_faults}) take [?cache]
@@ -103,7 +105,6 @@ val check_object :
   view:Cal.View.t ->
   fuel:int ->
   ?max_runs:int ->
-  ?preemption_bound:int ->
   unit ->
   report
 (** Exhaustively explore [setup] and check both obligations on every
@@ -112,12 +113,12 @@ val check_object :
 val check_object_with_faults :
   ?delay_factors:int list ->
   ?domains:int ->
+  ?strategy:Conc.Explore.strategy ->
   setup:(Conc.Ctx.t -> Conc.Runner.program) ->
   spec:Cal.Spec.t ->
   view:Cal.View.t ->
   fuel:int ->
   ?max_runs:int ->
-  ?preemption_bound:int ->
   ?max_plans:int ->
   fault_bound:int ->
   unit ->
@@ -137,11 +138,11 @@ val check_object_with_faults :
 
 val check_liveness :
   ?plan:Conc.Fault.plan ->
+  ?strategy:Conc.Explore.strategy ->
   setup:(Conc.Ctx.t -> Conc.Runner.program) ->
   fuel:int ->
   window:int ->
   ?max_runs:int ->
-  ?preemption_bound:int ->
   unit ->
   report
 (** The liveness obligation, via {!Conc.Explore.liveness}: every maximal
@@ -155,11 +156,11 @@ val check_liveness :
 
 val check_liveness_with_faults :
   ?delay_factors:int list ->
+  ?strategy:Conc.Explore.strategy ->
   setup:(Conc.Ctx.t -> Conc.Runner.program) ->
   fuel:int ->
   window:int ->
   ?max_runs:int ->
-  ?preemption_bound:int ->
   ?max_plans:int ->
   fault_bound:int ->
   unit ->
@@ -177,7 +178,6 @@ val check_black_box :
   spec:Cal.Spec.t ->
   fuel:int ->
   ?max_runs:int ->
-  ?preemption_bound:int ->
   unit ->
   report
 (** Decide CAL on each outcome's history alone (Definition 6 via
@@ -187,11 +187,11 @@ val check_black_box :
 val check_durable :
   ?checker:[ `Cal | `Lin ] ->
   ?cache:bool ->
+  ?strategy:Conc.Explore.strategy ->
   setup:(Conc.Ctx.t -> Conc.Runner.durable) ->
   spec:Cal.Spec.t ->
   fuel:int ->
   ?max_runs:int ->
-  ?preemption_bound:int ->
   ?max_plans:int ->
   ?max_crash_depth:int ->
   unit ->
@@ -217,11 +217,11 @@ val check_durable_with_faults :
   ?checker:[ `Cal | `Lin ] ->
   ?cache:bool ->
   ?delay_factors:int list ->
+  ?strategy:Conc.Explore.strategy ->
   setup:(Conc.Ctx.t -> Conc.Runner.durable) ->
   spec:Cal.Spec.t ->
   fuel:int ->
   ?max_runs:int ->
-  ?preemption_bound:int ->
   ?max_plans:int ->
   ?max_crash_depth:int ->
   fault_bound:int ->

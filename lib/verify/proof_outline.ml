@@ -96,7 +96,7 @@ let check_probe ~oid ~ctx ~t0 (p : Exchanger.probe_point) =
       | None -> Error "no cur at clean")
   | other -> Error (Fmt.str "unknown probe point %S" other)
 
-let check_program ~values ~fuel ?max_runs ?preemption_bound () =
+let check_program ~values ~fuel ?max_runs ?strategy () =
   let runs = ref 0 in
   let probes = ref 0 in
   let violations = ref [] in
@@ -133,7 +133,7 @@ let check_program ~values ~fuel ?max_runs ?preemption_bound () =
     { Conc.Runner.threads; observe = None; on_label = None }
   in
   let _stats =
-    Conc.Explore.exhaustive ~setup ~fuel ?max_runs ?preemption_bound
+    Conc.Explore.exhaustive ~setup ~fuel ?max_runs ?strategy
       ~f:(fun _ -> incr runs)
       ()
   in

@@ -46,7 +46,7 @@ val check_program :
   values:Cal.Value.t list ->
   fuel:int ->
   ?max_runs:int ->
-  ?preemption_bound:int ->
+  ?strategy:Conc.Explore.strategy ->
   unit ->
   report
 (** [check_program ~values ~fuel ()] runs one annotated [exchange vᵢ] per

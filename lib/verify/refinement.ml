@@ -5,10 +5,10 @@ let observation_of_outcome (o : Conc.Runner.outcome) =
   |> List.map (function Some v -> Cal.Value.show v | None -> "?")
   |> String.concat " | "
 
-let observations ~setup ~fuel ?max_runs ?preemption_bound () =
+let observations ~setup ~fuel ?max_runs ?strategy () =
   let seen = Hashtbl.create 64 in
   let _ =
-    Conc.Explore.exhaustive ~setup ~fuel ?max_runs ?preemption_bound
+    Conc.Explore.exhaustive ~setup ~fuel ?max_runs ?strategy
       ~f:(fun o -> Hashtbl.replace seen (observation_of_outcome o) ())
       ()
   in
@@ -20,9 +20,9 @@ type result = {
   unexplained : observation list;
 }
 
-let check ~concrete ~abstract ~fuel ?max_runs ?preemption_bound () =
-  let impl = observations ~setup:concrete ~fuel ?max_runs ?preemption_bound () in
-  let spec = observations ~setup:abstract ~fuel ?max_runs ?preemption_bound () in
+let check ~concrete ~abstract ~fuel ?max_runs ?strategy () =
+  let impl = observations ~setup:concrete ~fuel ?max_runs ?strategy () in
+  let spec = observations ~setup:abstract ~fuel ?max_runs ?strategy () in
   {
     impl_observations = List.length impl;
     spec_observations = List.length spec;

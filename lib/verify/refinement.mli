@@ -22,7 +22,7 @@ val observations :
   setup:(Conc.Ctx.t -> Conc.Runner.program) ->
   fuel:int ->
   ?max_runs:int ->
-  ?preemption_bound:int ->
+  ?strategy:Conc.Explore.strategy ->
   unit ->
   observation list
 (** All distinct outcomes over the explored schedules, sorted. *)
@@ -40,7 +40,7 @@ val check :
   abstract:(Conc.Ctx.t -> Conc.Runner.program) ->
   fuel:int ->
   ?max_runs:int ->
-  ?preemption_bound:int ->
+  ?strategy:Conc.Explore.strategy ->
   unit ->
   result
 

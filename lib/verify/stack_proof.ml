@@ -122,7 +122,7 @@ let make stack ctx =
 
 type report = { runs : int; steps_checked : int; violations : Rg.violation list }
 
-let check_program ~threads ~fuel ?max_runs ?preemption_bound () =
+let check_program ~threads ~fuel ?max_runs ?strategy () =
   let runs = ref 0 in
   let steps = ref 0 in
   let violations = ref [] in
@@ -148,7 +148,7 @@ let check_program ~threads ~fuel ?max_runs ?preemption_bound () =
     }
   in
   let _stats =
-    Conc.Explore.exhaustive ~setup ~fuel ?max_runs ?preemption_bound
+    Conc.Explore.exhaustive ~setup ~fuel ?max_runs ?strategy
       ~f:(fun _ -> incr runs)
       ()
   in

@@ -39,7 +39,7 @@ val check_program :
     (Conc.Ctx.t -> Structures.Treiber_stack.t -> Cal.Value.t Conc.Prog.t array) ->
   fuel:int ->
   ?max_runs:int ->
-  ?preemption_bound:int ->
+  ?strategy:Conc.Explore.strategy ->
   unit ->
   report
 

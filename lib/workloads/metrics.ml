@@ -391,43 +391,35 @@ type explore_cost = {
   explore_truncated : bool;
 }
 
-let explore_cost ~engine ~setup ~fuel ?max_runs ?preemption_bound () =
+let explore_cost ~engine ~setup ~fuel ?max_runs () =
+  let replay bound =
+    Explore.exhaustive_via_replay ~setup ~fuel ?max_runs
+      ?preemption_bound:bound ~f:ignore ()
+  in
+  let walk ?prune ?domains strategy =
+    Explore.exhaustive ?prune ?domains ~strategy ~setup ~fuel ?max_runs
+      ~f:ignore ()
+  in
   let name, stats =
     match engine with
-    | `Replay ->
-        ( "replay",
-          Explore.exhaustive_via_replay ~setup ~fuel ?max_runs
-            ?preemption_bound ~f:ignore () )
-    | `Incremental ->
-        ( "incremental",
-          Explore.exhaustive ~prune:false ~setup ~fuel ?max_runs
-            ?preemption_bound ~f:ignore () )
-    | `Pruned ->
-        ( "incremental+prune",
-          Explore.exhaustive ~prune:true ~setup ~fuel ?max_runs
-            ?preemption_bound ~f:ignore () )
+    | `Replay -> ("replay", replay None)
+    | `Replay_bounded b -> (Printf.sprintf "replay<=%d" b, replay (Some b))
+    | `Incremental -> ("incremental", walk ~prune:false Explore.Dfs)
+    | `Pruned -> ("incremental+prune", walk ~prune:true Explore.Dfs)
     | `Parallel d ->
         ( Printf.sprintf "parallel-%d" d,
-          Explore.exhaustive ~prune:false ~domains:d ~setup ~fuel ?max_runs
-            ?preemption_bound ~f:ignore () )
-    | `Dpor ->
-        ( "dpor",
-          Explore.exhaustive_strategy ~strategy:Explore.Dpor ~setup ~fuel
-            ?max_runs ~f:ignore () )
+          walk ~prune:false ~domains:d Explore.Dfs )
+    | `Dpor -> ("dpor", walk Explore.Dpor)
     | `Preemption_bounded b ->
         ( Printf.sprintf "preemption:%d" b,
-          Explore.exhaustive_strategy
-            ~strategy:(Explore.Preemption_bounded { bound = b })
-            ~setup ~fuel ?max_runs ~f:ignore () )
+          walk (Explore.Preemption_bounded { bound = b }) )
     | `Delay_bounded b ->
         ( Printf.sprintf "delay:%d" b,
-          Explore.exhaustive_strategy
-            ~strategy:(Explore.Delay_bounded { bound = b })
-            ~setup ~fuel ?max_runs ~f:ignore () )
+          walk (Explore.Delay_bounded { bound = b }) )
   in
   let steps_executed =
     match engine with
-    | `Replay ->
+    | `Replay | `Replay_bounded _ ->
         (* the replay engine executes exactly the steps it replays *)
         stats.Explore.replayed_steps
     | `Incremental | `Pruned | `Parallel _ | `Dpor | `Preemption_bounded _

@@ -104,8 +104,8 @@ val pp_result : Format.formatter -> result -> unit
 
 type explore_cost = {
   engine : string;
-      (** "replay" | "incremental" | "incremental+prune" | "parallel-N"
-          | "dpor" | "preemption:N" | "delay:N" *)
+      (** "replay" | "replay<=N" | "incremental" | "incremental+prune"
+          | "parallel-N" | "dpor" | "preemption:N" | "delay:N" *)
   explored_runs : int;    (** terminal outcomes delivered *)
   nodes : int;            (** schedule-tree nodes visited *)
   steps_executed : int;   (** program steps executed in total *)
@@ -130,6 +130,7 @@ type explore_cost = {
 val explore_cost :
   engine:
     [ `Replay
+    | `Replay_bounded of int
     | `Incremental
     | `Pruned
     | `Parallel of int
@@ -139,7 +140,6 @@ val explore_cost :
   setup:(Conc.Ctx.t -> Conc.Runner.program) ->
   fuel:int ->
   ?max_runs:int ->
-  ?preemption_bound:int ->
   unit ->
   explore_cost
 (** Explore [setup] exhaustively with the chosen engine (outcomes are

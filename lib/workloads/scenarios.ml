@@ -15,6 +15,9 @@ type t = {
   expect_ok : bool;
 }
 
+let strategy s =
+  Option.map (fun bound -> Conc.Explore.Preemption_bounded { bound }) s.bound
+
 let tid = Ids.Tid.of_int
 let no_observe threads = { Conc.Runner.threads; observe = None; on_label = None }
 

@@ -18,9 +18,13 @@ type t = {
   bound : int option;
       (** default preemption bound: [Some b] for scenarios whose unbounded
           interleaving space is too large for routine exhaustive checking;
-          consumers should pass it to the explorer *)
+          consumers pass it to the explorer as {!strategy} *)
   expect_ok : bool;  (** [false] for the deliberately faulty scenarios *)
 }
+
+val strategy : t -> Conc.Explore.strategy option
+(** [Some (Preemption_bounded { bound })] for a scenario with a [bound];
+    [None] (the caller's default search) otherwise. *)
 
 (** {1 Exchanger clients} *)
 

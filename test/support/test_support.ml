@@ -38,17 +38,16 @@ let element : Ca_trace.element Alcotest.testable =
 let is_cal spec h = Cal_checker.is_cal ~spec h
 let is_lin spec h = Lin_checker.is_linearizable ~spec h
 
-(* exhaustive verification of a scenario, returning whether it matched its
-   expectation *)
-let scenario_ok ?max_runs ?preemption_bound (s : Workloads.Scenarios.t) =
-  let preemption_bound =
-    match preemption_bound with Some _ as b -> b | None -> s.bound
-  in
-  let report =
-    Verify.Obligations.check_object ~setup:s.setup ~spec:s.spec ~view:s.view
-      ~fuel:s.fuel ?max_runs ?preemption_bound ()
-  in
-  Verify.Obligations.ok report = s.expect_ok
+(* exhaustive verification of a scenario under its preemption bound
+   ([bound] overrides the scenario's own) *)
+let scenario_report ?max_runs ?bound (s : Workloads.Scenarios.t) =
+  let s = if bound = None then s else { s with bound } in
+  Verify.Obligations.check_object ~setup:s.setup ~spec:s.spec ~view:s.view
+    ~fuel:s.fuel ?max_runs ?strategy:(Workloads.Scenarios.strategy s) ()
+
+(* ... returning whether it matched its expectation *)
+let scenario_ok ?max_runs ?bound (s : Workloads.Scenarios.t) =
+  Verify.Obligations.ok (scenario_report ?max_runs ?bound s) = s.expect_ok
 
 let check_bool name expected actual = Alcotest.(check bool) name expected actual
 

@@ -175,7 +175,7 @@ let test_choose_frontier () =
   let o, _ = Runner.replay ~setup [ { Runner.thread = 0; branch = 2 } ] in
   check_bool "branch picked" true (o.Runner.results = [| Some (Value.int 2) |])
 
-let count_exhaustive ?preemption_bound ~threads ~steps_per_thread () =
+let count_exhaustive ?bound ~threads ~steps_per_thread () =
   let setup _ctx =
     let mk _ =
       let rec go k = if k = 0 then Prog.return Value.unit else Prog.yield >>= fun () -> go (k - 1) in
@@ -183,7 +183,11 @@ let count_exhaustive ?preemption_bound ~threads ~steps_per_thread () =
     in
     { Runner.threads = Array.init threads mk; observe = None; on_label = None }
   in
-  Explore.exhaustive ~setup ~fuel:1000 ?preemption_bound ~f:(fun _ -> ()) ()
+  Explore.exhaustive ~setup ~fuel:1000
+    ?strategy:
+      (Option.map (fun bound -> Explore.Preemption_bounded { bound }) bound)
+    ~f:(fun _ -> ())
+    ()
 
 let test_exhaustive_counts () =
   (* interleavings of two 2-step threads: C(4,2) = 6 *)
@@ -195,14 +199,14 @@ let test_exhaustive_counts () =
 
 let test_preemption_bound () =
   (* bound 0: each thread runs to completion once scheduled: orders = 2 *)
-  let stats = count_exhaustive ~preemption_bound:0 ~threads:2 ~steps_per_thread:3 () in
+  let stats = count_exhaustive ~bound:0 ~threads:2 ~steps_per_thread:3 () in
   Alcotest.(check int) "bound 0 = thread orders" 2 stats.Explore.runs;
   (* unbounded: C(6,3) = 20 *)
   let stats = count_exhaustive ~threads:2 ~steps_per_thread:3 () in
   Alcotest.(check int) "unbounded" 20 stats.Explore.runs;
   (* monotone in the bound *)
-  let s1 = count_exhaustive ~preemption_bound:1 ~threads:2 ~steps_per_thread:3 () in
-  let s2 = count_exhaustive ~preemption_bound:2 ~threads:2 ~steps_per_thread:3 () in
+  let s1 = count_exhaustive ~bound:1 ~threads:2 ~steps_per_thread:3 () in
+  let s2 = count_exhaustive ~bound:2 ~threads:2 ~steps_per_thread:3 () in
   check_bool "monotone" true
     (2 <= s1.Explore.runs && s1.Explore.runs <= s2.Explore.runs
    && s2.Explore.runs <= 20)
@@ -268,13 +272,10 @@ let test_random_exploration_deterministic () =
     { Runner.threads = [| th; th |]; observe = None; on_label = None }
   in
   let collect seed =
-    let acc = ref [] in
-    let _ =
-      Explore.random ~setup ~fuel:100 ~runs:20 ~seed
-        ~f:(fun o -> acc := o.Runner.results :: !acc)
-      ()
-    in
-    !acc
+    let rng = Rng.create ~seed in
+    List.init 20 (fun _ ->
+        (Sampler.run ~kind:Sampler.Random_walk ~setup ~fuel:100 ~rng ())
+          .Runner.results)
   in
   check_bool "same seed same outcomes" true (collect 5L = collect 5L);
   check_bool "exploration happened" true (List.length (collect 5L) = 20)

@@ -146,7 +146,7 @@ let test_dual_queue_spec_rejects_nonempty_fulfilment () =
 let test_elim_queue_scenarios () =
   check_bool "enq-deq" true (scenario_ok (Workloads.Scenarios.elim_queue_enq_deq ()));
   check_bool "fifo (bounded)" true
-    (scenario_ok ~preemption_bound:3 (Workloads.Scenarios.elim_queue_fifo ()))
+    (scenario_ok ~bound:3 (Workloads.Scenarios.elim_queue_fifo ()))
 
 let test_elim_queue_elimination_path () =
   (* deq waits, enq eliminates: the trace carries the enq·deq sequence at
@@ -187,7 +187,7 @@ let test_elim_queue_elimination_path () =
 
 let test_faulty_elim_queue_caught () =
   let s = Workloads.Scenarios.faulty_elim_queue () in
-  check_bool "caught" true (scenario_ok ~preemption_bound:3 s)
+  check_bool "caught" true (scenario_ok ~bound:3 s)
 
 let () =
   Alcotest.run "dual_structures"

@@ -218,7 +218,9 @@ let test_exploration_epochs () =
   let crash_free = ref 0 and crashed = ref 0 in
   let (_ : Explore.fault_stats) =
     Explore.exhaustive_with_crashes ~setup:stack_scen.S.d_setup
-      ~fuel:stack_scen.S.d_fuel ~max_runs:200 ~preemption_bound:1 ~max_plans:6
+      ~fuel:stack_scen.S.d_fuel ~max_runs:200
+      ~strategy:(Explore.Preemption_bounded { bound = 1 })
+      ~max_plans:6
       ~f:(fun o ->
         if o.Runner.epochs = 1 then incr crash_free
         else begin
@@ -235,27 +237,29 @@ let test_exploration_epochs () =
 
 (* --------------------------------------------- durable obligations ---- *)
 
-let durable_scenario_ok ?max_runs ?preemption_bound (s : S.durable) =
+let durable_scenario_ok ?max_runs ~bound (s : S.durable) =
   let r =
     Verify.Obligations.check_durable ~setup:s.S.d_setup ~spec:s.S.d_spec
-      ~fuel:s.S.d_fuel ?max_runs ?preemption_bound
+      ~fuel:s.S.d_fuel ?max_runs
+      ~strategy:(Explore.Preemption_bounded { bound })
       ~max_crash_depth:s.S.d_max_crash_depth ()
   in
   Verify.Obligations.ok r = s.S.d_expect_ok
 
 let test_durable_stack_accepted () =
   check_bool "durable Treiber stack is durably CA-linearizable" true
-    (durable_scenario_ok ~preemption_bound:2 (S.stack_crash_recovery ()))
+    (durable_scenario_ok ~bound:2 (S.stack_crash_recovery ()))
 
 let test_durable_queue_accepted () =
   check_bool "durable MS queue is durably CA-linearizable" true
-    (durable_scenario_ok ~preemption_bound:2 (S.queue_crash_recovery ()))
+    (durable_scenario_ok ~bound:2 (S.queue_crash_recovery ()))
 
 let test_durable_lin_mode () =
   let s = S.stack_crash_recovery () in
   let r =
     Verify.Obligations.check_durable ~checker:`Lin ~setup:s.S.d_setup
-      ~spec:s.S.d_spec ~fuel:s.S.d_fuel ~preemption_bound:2
+      ~spec:s.S.d_spec ~fuel:s.S.d_fuel
+      ~strategy:(Explore.Preemption_bounded { bound = 2 })
       ~max_crash_depth:s.S.d_max_crash_depth ()
   in
   check_bool "durable linearizability agrees" true (Verify.Obligations.ok r)

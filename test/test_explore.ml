@@ -20,15 +20,13 @@ let no_prune_env =
 let d thread = { Runner.thread; branch = 0 }
 
 (* Both engines on the same state space, collecting delivered schedules. *)
-let explore_schedules engine ?plan ?preemption_bound ~setup ~fuel () =
+let explore_schedules engine ?plan ~setup ~fuel () =
   let scheds = ref [] in
   let f (o : Runner.outcome) = scheds := o.Runner.schedule :: !scheds in
   let stats =
     match engine with
-    | `Incremental ->
-        Explore.exhaustive ?plan ~prune:false ~setup ~fuel ?preemption_bound ~f ()
-    | `Replay ->
-        Explore.exhaustive_via_replay ?plan ~setup ~fuel ?preemption_bound ~f ()
+    | `Incremental -> Explore.exhaustive ?plan ~prune:false ~setup ~fuel ~f ()
+    | `Replay -> Explore.exhaustive_via_replay ?plan ~setup ~fuel ~f ()
   in
   (stats, List.rev !scheds)
 
@@ -46,13 +44,9 @@ let test_engines_agree () =
   List.iter
     (fun ((s : S.t), fuel) ->
       let st_i, sch_i =
-        explore_schedules `Incremental ?preemption_bound:s.bound ~setup:s.setup
-          ~fuel ()
+        explore_schedules `Incremental ~setup:s.setup ~fuel ()
       in
-      let st_r, sch_r =
-        explore_schedules `Replay ?preemption_bound:s.bound ~setup:s.setup
-          ~fuel ()
-      in
+      let st_r, sch_r = explore_schedules `Replay ~setup:s.setup ~fuel () in
       Alcotest.(check int) (s.name ^ ": runs") st_r.Explore.runs st_i.Explore.runs;
       Alcotest.(check int)
         (s.name ^ ": max_steps")
@@ -65,6 +59,52 @@ let test_engines_agree () =
       (S.dual_queue_enq_deq (), 10);
       (S.exchanger_trio (), 8);
     ]
+
+(* The bounded search is the walker run once per deepening level, so its
+   delivery order is (preemption cost, DFS): exactly the reference
+   oracle's DFS-order runs under the same single-pass bound, stably sorted
+   by cost — at every domain count. Every bounded scenario, at a fuel that
+   keeps the replay oracle quick. *)
+let test_bounded_matches_sorted_oracle () =
+  List.iter
+    (fun (s : S.t) ->
+      let bound = Option.get s.bound and fuel = min s.fuel 10 in
+      let oracle = ref [] in
+      let (_ : Explore.stats) =
+        Explore.exhaustive_via_replay ~setup:s.setup ~fuel
+          ~preemption_bound:bound
+          ~f:(fun o -> oracle := o.Runner.schedule :: !oracle)
+          ()
+      in
+      let cost sched =
+        Engine.schedule_cost Engine.Preemption (Runner.start ~setup:s.setup ())
+          sched
+      in
+      let expected =
+        List.rev !oracle
+        |> List.map (fun sched -> (cost sched, sched))
+        |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
+        |> List.map snd
+      in
+      List.iter
+        (fun domains ->
+          let _, accs =
+            Explore.exhaustive_collect ~domains
+              ~strategy:(Explore.Preemption_bounded { bound })
+              ~setup:s.setup ~fuel
+              ~init:(fun () -> ref [])
+              ~f:(fun acc o -> acc := o.Runner.schedule :: !acc)
+              ()
+          in
+          let delivered =
+            Array.to_list accs |> List.concat_map (fun acc -> List.rev !acc)
+          in
+          check_bool
+            (Fmt.str "%s: bounded delivery = cost-sorted oracle at domains=%d"
+               s.name domains)
+            true (delivered = expected))
+        [ 1; 2 ])
+    (List.filter (fun (s : S.t) -> s.bound <> None) (S.all ()))
 
 (* Engine cross-check over every deliberately broken object: the faulty
    implementations take unusual step shapes (non-atomic updates, missing
@@ -367,6 +407,8 @@ let () =
       ( "incremental engine",
         [
           t "engines agree on runs, stats, schedules" test_engines_agree;
+          t "bounded delivery is the cost-sorted oracle"
+            test_bounded_matches_sorted_oracle;
           t "engines agree under fault plans and budgets"
             test_engines_agree_under_faults;
           t "engines agree on every faulty object"

@@ -467,7 +467,7 @@ let test_elim_stack_single_fault_sweep () =
   let checked = ref 0 in
   let stats =
     Explore.exhaustive_with_faults ~setup:s.setup ~fuel:s.fuel ~fault_bound:1
-      ~preemption_bound:1 ~max_plans:12
+      ~strategy:(Explore.Preemption_bounded { bound = 1 }) ~max_plans:12
       ~f:(fun o ->
         incr checked;
         match Verify.Obligations.check_outcome ~spec:s.spec ~view:s.view o with

@@ -53,7 +53,7 @@ let test_faulty_scenarios_domain_invariant () =
           (fun domains ->
             ( domains,
               O.check_object ~domains ~setup:s.setup ~spec:s.spec ~view:s.view
-                ~fuel:s.fuel ?preemption_bound:s.bound () ))
+                ~fuel:s.fuel ?strategy:(S.strategy s) () ))
           domain_counts
       in
       check_invariant (s.name ^ " (check_object)") object_reports;
@@ -62,7 +62,7 @@ let test_faulty_scenarios_domain_invariant () =
           (fun domains ->
             ( domains,
               O.check_black_box ~domains ~setup:s.setup ~spec:s.spec
-                ~fuel:s.fuel ?preemption_bound:s.bound () ))
+                ~fuel:s.fuel ?strategy:(S.strategy s) () ))
           domain_counts
       in
       check_invariant (s.name ^ " (check_black_box)") black_box_reports;
@@ -88,7 +88,7 @@ let test_positive_scenarios_domain_invariant () =
           (fun domains ->
             ( domains,
               O.check_black_box ~domains ~setup:s.setup ~spec:s.spec ~fuel
-                ?preemption_bound:s.bound () ))
+                ?strategy:(S.strategy s) () ))
           domain_counts
       in
       check_invariant s.name reports;
@@ -106,7 +106,7 @@ let test_cache_transparent_and_effective () =
   let s = S.elim_stack_push_pop ~k:1 () in
   let run ~domains ~cache =
     O.check_black_box ~domains ~cache ~setup:s.setup ~spec:s.spec ~fuel:10
-      ?preemption_bound:s.bound ()
+      ?strategy:(S.strategy s) ()
   in
   let off = run ~domains:1 ~cache:false in
   let hits (r : O.report) =
@@ -136,7 +136,7 @@ let test_check_all_witness_deterministic () =
   let witness domains =
     match
       Explore.check_all ~domains ~setup:s.setup ~fuel:s.fuel
-        ?preemption_bound:s.bound ~p ()
+        ?strategy:(S.strategy s) ~p ()
     with
     | Ok _ -> Alcotest.failf "faulty stack accepted at domains=%d" domains
     | Error (o, _) -> (o.Runner.schedule, o.Runner.history)
@@ -192,7 +192,7 @@ let test_stealing_happens () =
   let s = S.faulty_elim_stack ~pushers:1 ~poppers:2 () in
   let run domains =
     O.check_black_box ~domains ~setup:s.setup ~spec:s.spec ~fuel:8
-      ?preemption_bound:s.bound ()
+      ?strategy:(S.strategy s) ()
   in
   let seq = run 1 in
   List.iter
@@ -218,7 +218,7 @@ let test_cache_per_domain_deterministic () =
   let s = S.faulty_exchanger () in
   let run ~domains ~cache =
     O.check_black_box ~domains ~cache ~setup:s.setup ~spec:s.spec ~fuel:s.fuel
-      ?preemption_bound:s.bound ()
+      ?strategy:(S.strategy s) ()
   in
   let off = run ~domains:1 ~cache:false in
   List.iter
@@ -246,7 +246,7 @@ let test_first_failure_partial_stats () =
   let p (o : Runner.outcome) = Cal_checker.is_cal ~spec:s.spec o.history in
   match
     Explore.check_all ~domains:4 ~setup:s.setup ~fuel:s.fuel
-      ?preemption_bound:s.bound ~p ()
+      ?strategy:(S.strategy s) ~p ()
   with
   | Ok _ -> Alcotest.fail "faulty counter accepted"
   | Error (o, st) ->
@@ -263,7 +263,7 @@ let test_domains_used () =
   let s = S.exchanger_trio () in
   let run () =
     O.check_black_box ~domains:4 ~setup:s.setup ~spec:s.spec ~fuel:8
-      ?preemption_bound:s.bound ()
+      ?strategy:(S.strategy s) ()
   in
   (match (run ()).exploration with
   | None -> Alcotest.fail "exhaustive check lost its exploration stats"

@@ -15,7 +15,7 @@ let test_trio_holds_bounded () =
   let r =
     Verify.Proof_outline.check_program
       ~values:[ vi 3; vi 4; vi 7 ]
-      ~fuel:90 ~preemption_bound:2 ()
+      ~fuel:90 ~strategy:(Conc.Explore.Preemption_bounded { bound = 2 }) ()
   in
   check_bool "no violations" true (Verify.Proof_outline.ok r)
 

@@ -12,7 +12,29 @@ let light (s : S.t) =
 
 let bounded ?(bound = 2) (s : S.t) =
   t s.name `Quick (fun () ->
-      check_bool s.name true (scenario_ok ~preemption_bound:bound s))
+      check_bool s.name true (scenario_ok ~bound:bound s))
+
+(* A bounded check must say so: every scenario with a bound reports
+   [bounded = true] through the obligation check, with the bound hits of
+   the plain Preemption_bounded exploration — so [calc verify] prints
+   "bounded (N bound hits)" instead of passing for a complete proof. *)
+let honest_bounded_reports () =
+  List.iter
+    (fun (s : S.t) ->
+      match (scenario_report s).Verify.Obligations.exploration with
+      | None -> Alcotest.failf "%s: no exploration stats" s.name
+      | Some e ->
+          let plain =
+            Conc.Explore.exhaustive_strategy
+              ~strategy:(Option.get (S.strategy s))
+              ~setup:s.setup ~fuel:s.fuel ~f:ignore ()
+          in
+          check_bool (s.name ^ ": reported bounded") true
+            e.Conc.Explore.bounded;
+          Alcotest.(check int)
+            (s.name ^ ": bound hits")
+            plain.Conc.Explore.bound_hits e.Conc.Explore.bound_hits)
+    (List.filter (fun (s : S.t) -> s.bound <> None) (S.all ()))
 
 let black_box (s : S.t) =
   t (s.name ^ " [black-box]") `Quick (fun () ->
@@ -66,6 +88,7 @@ let () =
         ] );
       ( "registry",
         [
+          t "bounded scenarios report bounded" `Quick honest_bounded_reports;
           t "find known" `Quick (fun () ->
               check_bool "found" true (S.find "exchanger-pair" <> None));
           t "find unknown" `Quick (fun () ->

@@ -227,7 +227,8 @@ let test_elim_stack_elimination_happens () =
   let s = Workloads.Scenarios.elim_stack_two_two ~k:1 () in
   let eliminated = ref false in
   let _ =
-    Explore.exhaustive ~setup:s.setup ~fuel:s.fuel ~preemption_bound:2
+    Explore.exhaustive ~setup:s.setup ~fuel:s.fuel
+      ~strategy:(Explore.Preemption_bounded { bound = 2 })
       ~f:(fun o ->
         if List.exists (fun e -> Ca_trace.element_size e = 2) o.Runner.trace then
           eliminated := true)

@@ -463,7 +463,9 @@ let test_liveness_degraded_elim_stack () =
       |]
   in
   let stats =
-    Explore.liveness ~setup ~fuel:26 ~window:8 ~preemption_bound:2 ()
+    Explore.liveness ~setup ~fuel:26 ~window:8
+      ~strategy:(Explore.Preemption_bounded { bound = 2 })
+      ()
   in
   check_bool "no livelock under degradation" true
     (stats.Explore.live_livelocked = 0);
