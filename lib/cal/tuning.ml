@@ -1,17 +1,11 @@
-(* One home for the search-side hash-table sizing heuristics. The memo
-   tables used by the explorer and the checkers were previously created
-   with magic literals (512/1024) regardless of the problem size; the
-   helpers here scale the initial size with the quantity that actually
+(* One home for the checker-side hash-table sizing heuristic and the
+   environment-tunable caps. The checkers' memo tables were previously
+   created with magic literals (512/1024) regardless of the problem size;
+   the helper here scales the initial size with the quantity that actually
    drives the number of keys, clamped so tiny problems do not pay for
    8k-slot tables and huge ones do not start from a handful of buckets. *)
 
 let clamp ~lo ~hi v = max lo (min hi v)
-
-(* The explorer's fingerprint memo holds at most one entry per distinct
-   interior state of the schedule tree, which grows with both the depth
-   (fuel) and the branching (threads). *)
-let explore_memo_size ~fuel ~threads =
-  clamp ~lo:64 ~hi:8192 (max 1 fuel * max 1 threads * 8)
 
 (* The checkers' failed-state memos are keyed by (placed-set, spec-state):
    the placed-set component alone ranges over subsets of the operations,
@@ -37,13 +31,3 @@ let witness_race_cap () =
   | None | Some "" -> 8
   | Some s -> (
       match int_of_string_opt s with Some n when n >= 0 -> n | _ -> 8)
-
-(* Donation grain for the work-stealing explorer: a frame is only donated
-   when its subtree has at least this many levels left, so workers don't
-   ship chunks worth a handful of leaves — the replay to reconstruct the
-   node would cost more than running them locally. *)
-let explore_donation_min_height () =
-  match Sys.getenv_opt "CAL_EXPLORE_DONATE_MIN" with
-  | None | Some "" -> 2
-  | Some s -> (
-      match int_of_string_opt s with Some n when n >= 0 -> n | _ -> 2)

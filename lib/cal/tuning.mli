@@ -1,15 +1,9 @@
-(** Sizing heuristics for the search-side hash tables, in one place.
+(** Sizing heuristics and environment-tunable caps, in one place.
 
-    Both the exploration engine ({!Conc.Explore}) and the checkers
-    ({!Cal_checker}, {!Lin_checker}, {!Interval_lin}) memoize failed
-    search states in hash tables. Their initial sizes are derived here
-    from the parameters that drive the key population — fuel × threads
-    for the schedule-tree fingerprint memo, the operation count for the
-    checker state memos — instead of per-call-site magic literals. *)
-
-val explore_memo_size : fuel:int -> threads:int -> int
-(** Initial size for the explorer's fingerprint memo: proportional to
-    [fuel × threads], clamped to [64, 8192]. *)
+    The checkers ({!Cal_checker}, {!Lin_checker}, {!Interval_lin})
+    memoize failed search states in hash tables. Their initial size is
+    derived here from the operation count, the parameter that drives the
+    key population, instead of per-call-site magic literals. *)
 
 val checker_table_size : ops:int -> int
 (** Initial size for a checker's failed-state memo over [ops]
@@ -26,10 +20,3 @@ val witness_race_cap : unit -> int
     ({!Verify.Obligations}'s renderers), from [CAL_WITNESS_RACE_CAP]
     (a non-negative integer; default [8]). The remainder is summarized
     as a count. *)
-
-val explore_donation_min_height : unit -> int
-(** Minimum remaining subtree height (fuel minus node depth) for a DFS
-    node to be donated to an idle worker by the parallel explorer, from
-    [CAL_EXPLORE_DONATE_MIN] (a non-negative integer; default [2]).
-    Larger values make chunks coarser — fewer, bigger steals; [0] lets
-    even pre-leaf nodes be donated. *)

@@ -21,7 +21,8 @@
    exactly the runs whose cost equals the level and counts every edge the
    level cuts in [bound_hits]; {!Explore} runs levels [0..bound] around it
    (iterative deepening, so delivery order is (cost, DFS) lexicographic).
-   Bounded levels never prune. *)
+   The walker enumerates every branch: the repo's one reduction,
+   source-DPOR, is its own engine ({!Dpor}). *)
 
 type stats = {
   runs : int;
@@ -29,7 +30,6 @@ type stats = {
   max_steps : int;
   nodes : int;
   replayed_steps : int;
-  fingerprint_hits : int;
   sleep_pruned : int;
   races_found : int;
   backtrack_points : int;
@@ -52,7 +52,6 @@ let empty_stats =
     max_steps = 0;
     nodes = 0;
     replayed_steps = 0;
-    fingerprint_hits = 0;
     sleep_pruned = 0;
     races_found = 0;
     backtrack_points = 0;
@@ -75,7 +74,6 @@ let merge_stats a b =
     max_steps = max a.max_steps b.max_steps;
     nodes = a.nodes + b.nodes;
     replayed_steps = a.replayed_steps + b.replayed_steps;
-    fingerprint_hits = a.fingerprint_hits + b.fingerprint_hits;
     sleep_pruned = a.sleep_pruned + b.sleep_pruned;
     races_found = a.races_found + b.races_found;
     backtrack_points = a.backtrack_points + b.backtrack_points;
@@ -96,45 +94,12 @@ exception Abandoned
 
 type cost_model = Preemption | Delay
 
-(* ------------------------------------------------- pruning controls --- *)
-
 let env_flag v =
   match Sys.getenv_opt v with
   | Some ("1" | "true" | "yes" | "on") -> true
   | _ -> false
 
-(* Pruning is an opt-in underapproximation of the run {e set} (it must
-   preserve verdicts, not run counts), so the default is off; callers opt
-   in per call ([~prune:true]) or globally (CAL_EXPLORE_PRUNE=1). The
-   cross-check mode CAL_EXPLORE_NO_PRUNE=1 force-disables pruning even for
-   explicit opt-ins: a pruned and an unpruned pass must reach identical
-   verdicts. *)
-let pruning_requested prune =
-  if env_flag "CAL_EXPLORE_NO_PRUNE" then false
-  else match prune with Some p -> p | None -> env_flag "CAL_EXPLORE_PRUNE"
-
-(* Commutation heuristic for sleep sets, from the step labels: two steps
-   commute when they touch distinct contended locations (the "…@loc" label
-   convention of the structures) or when either is a pure yield. Steps
-   without a location tag are conservatively treated as dependent. *)
-let loc_of label =
-  match String.index_opt label '@' with
-  | Some i -> Some (String.sub label i (String.length label - i))
-  | None -> None
-
-let commutes l1 l2 =
-  l1 = "yield" || l2 = "yield"
-  ||
-  match (loc_of l1, loc_of l2) with Some a, Some b -> a <> b | _ -> false
-
-let independent ((d1 : Runner.decision), l1) ((d2 : Runner.decision), l2) =
-  d1.thread <> d2.thread && commutes l1 l2
-
-let threads_of exec = Array.length (Runner.outcome exec).Runner.results
-
 (* ------------------------------------------------------------ walker -- *)
-
-type labelled = Runner.decision * string
 
 (* One open node. A donated chunk is a copy of a frame that owns the
    donor's remaining branches; the claimer replays [fr_prefix_rev] and
@@ -151,9 +116,6 @@ type 'path frame = {
       (* the default continuation under the cost model: choosing any other
          thread costs 1; [None] makes every choice free *)
   fr_used : int;  (* schedule cost spent reaching this node *)
-  fr_sleep : labelled list;
-  mutable fr_explored : labelled list;
-      (* descended siblings, newest first (pruning walks only) *)
   mutable fr_rest : Runner.frontier;
   mutable fr_next : int;  (* branch index of [hd fr_rest] *)
 }
@@ -196,34 +158,16 @@ let schedule_cost model exec schedule =
   in
   cost
 
-(* With [prune] set (unbounded walks only), two reductions apply, both
-   counted in the stats:
-   - fingerprint memoization: a node whose {!Runner.fingerprint} was
-     already visited is cut off (its subtree was explored from the
-     equivalent state);
-   - sleep sets: after exploring sibling [d1], the decision [d1] is put to
-     sleep inside the later siblings' subtrees and skipped there until a
-     dependent (non-commuting) step wakes it — the classic partial-order
-     argument that exploring [d1;d2] and [d2;d1] twice is redundant when
-     the two steps commute. *)
-let dfs ~restart ~fuel ?max_runs ~prune ?level ?gate ?donor ?resume
-    ~init_path ~step_path ~leaf () =
-  let prune = prune && Option.is_none level in
+(* Donation grain: a frame is donated only when its subtree has at least
+   this many levels left — shipping a chunk worth a handful of leaves costs
+   a prefix replay that running them locally would not. *)
+let donation_min_height = 2
+
+let dfs ~restart ~fuel ?max_runs ?level ?gate ?donor ?resume ~init_path
+    ~step_path ~leaf () =
   let exec = ref (restart ()) in
   let runs = ref 0 and truncated = ref false and max_steps = ref 0 in
-  let nodes = ref 0 and replayed = ref 0 in
-  let fp_hits = ref 0 and slept = ref 0 and bound_hits = ref 0 in
-  let memo : (string, unit) Hashtbl.t =
-    if prune then
-      Hashtbl.create
-        (Cal.Tuning.explore_memo_size ~fuel ~threads:(threads_of !exec))
-    else Hashtbl.create 1
-  in
-  let grain =
-    match donor with
-    | Some _ -> Cal.Tuning.explore_donation_min_height ()
-    | None -> 0
-  in
+  let nodes = ref 0 and replayed = ref 0 and bound_hits = ref 0 in
   let deliver frontier path =
     (match gate with
     | Some admit when not (admit ()) ->
@@ -293,7 +237,8 @@ let dfs ~restart ~fuel ?max_runs ~prune ?level ?gate ?donor ?resume
         let rec find i =
           if i < n then
             let fr = arr.(i) in
-            if fr.fr_rest <> [] && fuel - fr.fr_depth >= grain then begin
+            if fr.fr_rest <> [] && fuel - fr.fr_depth >= donation_min_height
+            then begin
               dn.donate { fr with fr_rest = fr.fr_rest };
               fr.fr_rest <- []
             end
@@ -302,7 +247,7 @@ let dfs ~restart ~fuel ?max_runs ~prune ?level ?gate ?donor ?resume
         find 0
     | _ -> ()
   in
-  let rec expand ~depth ~prefix_rev ~rank_rev ~used ~sleep ~path =
+  let rec expand ~depth ~prefix_rev ~rank_rev ~used ~path =
     if abandoned () then raise Abandoned;
     incr nodes;
     let frontier = Runner.frontier !exec in
@@ -311,12 +256,6 @@ let dfs ~restart ~fuel ?max_runs ~prune ?level ?gate ?donor ?resume
       | Some (_, c) when used <> c -> ()
       | _ -> deliver frontier path
     end
-    else if
-      prune
-      &&
-      let fp = Runner.fingerprint !exec in
-      Hashtbl.mem memo fp || (Hashtbl.add memo fp (); false)
-    then incr fp_hits
     else begin
       let fr_default =
         match (level, prefix_rev) with
@@ -334,8 +273,6 @@ let dfs ~restart ~fuel ?max_runs ~prune ?level ?gate ?donor ?resume
           fr_path = path;
           fr_default;
           fr_used = used;
-          fr_sleep = sleep;
-          fr_explored = [];
           fr_rest = frontier;
           fr_next = 0;
         }
@@ -356,45 +293,23 @@ let dfs ~restart ~fuel ?max_runs ~prune ?level ?gate ?donor ?resume
         (match level with
         | Some (_, c) when used > c -> incr bound_hits
         | _ ->
-            if
-              prune
-              && List.exists
-                   (fun ((s : Runner.decision), _) ->
-                     s.thread = d.thread && s.branch = d.branch)
-                   fr.fr_sleep
-            then incr slept
-            else begin
-              ensure_at fr.fr_depth fr.fr_prefix_rev;
-              let path = step_path fr.fr_path fr.fr_frontier d in
-              (* labels feed the sleep sets only; read at the node's state *)
-              let sleep, explored =
-                if prune then
-                  let l = Runner.head_label !exec d.thread in
-                  let dl = (d, Option.value ~default:"" l) in
-                  ( List.filter
-                      (fun s -> independent s dl)
-                      (fr.fr_sleep @ List.rev fr.fr_explored),
-                    dl :: fr.fr_explored )
-                else ([], [])
-              in
-              ignore (Runner.step !exec d);
-              started := true;
-              expand ~depth:(fr.fr_depth + 1)
-                ~prefix_rev:(d :: fr.fr_prefix_rev)
-                ~rank_rev:(if donating then idx :: fr.fr_rank_rev else [])
-                ~used ~sleep ~path;
-              fr.fr_explored <- explored
-            end);
+            ensure_at fr.fr_depth fr.fr_prefix_rev;
+            let path = step_path fr.fr_path fr.fr_frontier d in
+            ignore (Runner.step !exec d);
+            started := true;
+            expand ~depth:(fr.fr_depth + 1)
+              ~prefix_rev:(d :: fr.fr_prefix_rev)
+              ~rank_rev:(if donating then idx :: fr.fr_rank_rev else [])
+              ~used ~path);
         iterate fr
   in
   (try
      match resume with
      | None ->
-         expand ~depth:0 ~prefix_rev:[] ~rank_rev:[] ~used:0 ~sleep:[]
-           ~path:init_path
+         expand ~depth:0 ~prefix_rev:[] ~rank_rev:[] ~used:0 ~path:init_path
      | Some fr ->
-         (* the donor counted (and, under pruning, memoized) this node when
-            it expanded it; the chunk resumes mid-iteration *)
+         (* the donor counted this node when it expanded it; the chunk
+            resumes mid-iteration *)
          List.iter
            (fun d -> ignore (Runner.step !exec d))
            (List.rev fr.fr_prefix_rev);
@@ -410,7 +325,5 @@ let dfs ~restart ~fuel ?max_runs ~prune ?level ?gate ?donor ?resume
     max_steps = !max_steps;
     nodes = !nodes;
     replayed_steps = !replayed;
-    fingerprint_hits = !fp_hits;
-    sleep_pruned = !slept;
     bound_hits = !bound_hits;
   }

@@ -11,7 +11,9 @@
     {!chunk}, which another walk then {e resumes} mid-iteration — so the
     parallel front explores exactly the subtrees the sequential walk
     would have. A [level] of a {!cost_model} turns the walk into one level
-    of iterative deepening (see {!dfs}). *)
+    of iterative deepening (see {!dfs}). The walk prunes nothing: every
+    enabled decision of every node is descended. The one reduction,
+    source-DPOR, is a separate engine ({!Dpor}). *)
 
 type stats = {
   runs : int;           (** terminal outcomes delivered to the callback *)
@@ -22,14 +24,15 @@ type stats = {
       (** program steps re-executed to re-establish branch points after
           backtracking, including task-prefix replays of the parallel
           front *)
-  fingerprint_hits : int;  (** subtrees cut off by fingerprint memoization *)
-  sleep_pruned : int;      (** sibling decisions skipped by sleep sets *)
+  sleep_pruned : int;
+      (** decisions skipped by the DPOR engine's sleep sets ({!Dpor}); [0]
+          for the walker *)
   races_found : int;
       (** direct races detected by the vector-clock analysis of the DPOR
-          engine ({!Dpor}); [0] for the label-heuristic engines *)
+          engine ({!Dpor}); [0] for the walker *)
   backtrack_points : int;
       (** threads added to node backtrack sets by race reversal (source
-          sets); [0] for the engines that expand every enabled decision *)
+          sets); [0] for the walker, which expands every enabled decision *)
   bound_hits : int;
       (** edges cut by a preemption/delay bound at the final deepening
           level — the schedules the bounded search left out start there *)
@@ -70,9 +73,8 @@ exception Stop
 (** Raised internally to cut the search (budget, counterexample). *)
 
 val env_flag : string -> bool
-val pruning_requested : bool option -> bool
-(** Resolve a [?prune] argument against [CAL_EXPLORE_PRUNE] /
-    [CAL_EXPLORE_NO_PRUNE] (see {!Explore}). *)
+(** [env_flag v] is [true] iff the environment variable [v] is set to
+    [1]/[true]/[yes]/[on]. *)
 
 type cost_model =
   | Preemption
@@ -110,7 +112,6 @@ val dfs :
   restart:(unit -> Runner.exec) ->
   fuel:int ->
   ?max_runs:int ->
-  prune:bool ->
   ?level:cost_model * int ->
   ?gate:(unit -> bool) ->
   ?donor:'path donor ->
@@ -125,8 +126,9 @@ val dfs :
     outcome with the final frontier and path state. [leaf] may raise
     {!Stop} to end the walk (the run is then not counted). [max_runs] is
     the local run budget; [gate] (a shared budget) is consulted before
-    each delivery — refusal truncates. [prune] enables fingerprint
-    memoization and sleep sets (unbounded walks only).
+    each delivery — refusal truncates. A [donor] is offered the
+    shallowest open frame whose subtree is at least two levels high;
+    shallower remainders are not worth a claimer's prefix replay.
 
     [level = (model, c)] delivers exactly the runs of cost [c] and counts
     in [bound_hits] every edge that would exceed [c]; running levels

@@ -4,7 +4,6 @@ type stats = Engine.stats = {
   max_steps : int;
   nodes : int;
   replayed_steps : int;
-  fingerprint_hits : int;
   sleep_pruned : int;
   races_found : int;
   backtrack_points : int;
@@ -25,7 +24,6 @@ let merge_stats = Engine.merge_stats
 
 exception Stop = Engine.Stop
 
-let pruning_requested = Engine.pruning_requested
 let env_flag = Engine.env_flag
 
 (* ------------------------------------------------------- strategies -- *)
@@ -158,8 +156,7 @@ let root_split ~domains ~restart ~fuel ?max_runs ~init ~f ?stop_on () =
   end
 
 (* One search of the schedule tree of [restart] under [strategy]. *)
-let search ~strategy ~prune ~domains ~restart ~fuel ?max_runs ~init ~f
-    ?stop_on () =
+let search ~strategy ~domains ~restart ~fuel ?max_runs ~init ~f ?stop_on () =
   match strategy with
   | Dpor -> root_split ~domains ~restart ~fuel ?max_runs ~init ~f ?stop_on ()
   | _ ->
@@ -176,20 +173,20 @@ let search ~strategy ~prune ~domains ~restart ~fuel ?max_runs ~init ~f
       let stats, accs =
         deepen ?max_runs ~stopped:(fun () -> Atomic.get hit) strategy
           (fun level max_runs ->
-            Par_explore.explore ~prune ~domains ?max_runs ?level ~restart ~fuel
-              ~init ~f ?stop_on ())
+            Par_explore.explore ~domains ?max_runs ?level ~restart ~fuel ~init
+              ~f ?stop_on ())
       in
       (stats, Array.concat accs)
 
-let exhaustive_collect ?(plan = []) ?prune ?(domains = 1) ?(strategy = Dfs)
-    ~setup ~fuel ?max_runs ~init ~f () =
-  search ~strategy ~prune:(pruning_requested prune) ~domains
+let exhaustive_collect ?(plan = []) ?(domains = 1) ?(strategy = Dfs) ~setup
+    ~fuel ?max_runs ~init ~f () =
+  search ~strategy ~domains
     ~restart:(fun () -> Runner.start ~plan ~setup ())
     ~fuel ?max_runs ~init ~f ()
 
-let exhaustive ?plan ?prune ?domains ?strategy ~setup ~fuel ?max_runs ~f () =
+let exhaustive ?plan ?domains ?strategy ~setup ~fuel ?max_runs ~f () =
   fst
-    (exhaustive_collect ?plan ?prune ?domains ?strategy ~setup ~fuel ?max_runs
+    (exhaustive_collect ?plan ?domains ?strategy ~setup ~fuel ?max_runs
        ~init:ignore
        ~f:(fun () o -> f o)
        ())
@@ -206,13 +203,11 @@ let sweep_strategy = function
   | Some s -> s
 
 (* Exhaustive exploration of one durable program under one (possibly
-   crashing) plan. Always unpruned: persistent-cell contents are not part
-   of the state fingerprint, so memoization across crash plans would be
-   unsound. *)
+   crashing) plan. *)
 let exhaustive_durable ~plan ?(domains = 1) ?strategy ~setup ~fuel ?max_runs
     ~f () =
   fst
-    (search ~strategy:(sweep_strategy strategy) ~prune:false ~domains
+    (search ~strategy:(sweep_strategy strategy) ~domains
        ~restart:(fun () -> Runner.start_durable ~plan ~setup ())
        ~fuel ?max_runs ~init:ignore
        ~f:(fun () o -> f o)
@@ -269,10 +264,10 @@ let exhaustive_via_replay ?(plan = []) ~setup ~fuel ?max_runs ?preemption_bound
     replayed_steps = !replayed;
   }
 
-let check_all ?(plan = []) ?prune ?(domains = 1) ?(strategy = Dfs) ~setup ~fuel
+let check_all ?(plan = []) ?(domains = 1) ?(strategy = Dfs) ~setup ~fuel
     ?max_runs ~p () =
   let stats, accs =
-    search ~strategy ~prune:(pruning_requested prune) ~domains
+    search ~strategy ~domains
       ~restart:(fun () -> Runner.start ~plan ~setup ())
       ~fuel ?max_runs
       ~init:(fun () -> ref None)
@@ -345,37 +340,6 @@ let races_of_durable ?(plan = []) ~setup schedule =
   races_of_exec (Runner.start_durable ~plan ~setup ()) schedule
 
 (* ------------------------------------------------- fault exploration -- *)
-
-type fault_stats = {
-  plans : int;
-  fault_runs : int;
-  fault_truncated : bool;
-  fault_max_steps : int;
-  fault_nodes : int;
-  fault_replayed_steps : int;
-  fault_fingerprint_hits : int;
-  fault_sleep_pruned : int;
-  fault_tasks_stolen : int;
-  fault_domains_used : int;
-  fault_domains_requested : int;
-  fault_bound_hits : int;
-}
-
-let fault_stats_of ~plans (s : stats) =
-  {
-    plans;
-    fault_runs = s.runs;
-    fault_truncated = s.truncated;
-    fault_max_steps = s.max_steps;
-    fault_nodes = s.nodes;
-    fault_replayed_steps = s.replayed_steps;
-    fault_fingerprint_hits = s.fingerprint_hits;
-    fault_sleep_pruned = s.sleep_pruned;
-    fault_tasks_stolen = s.tasks_stolen;
-    fault_domains_used = s.domains_used;
-    fault_domains_requested = s.domains_requested;
-    fault_bound_hits = s.bound_hits;
-  }
 
 (* Candidate fault points of a bounded program, learned from the fault-free
    exhaustive pass: every (thread, step) pair some schedule reaches is a
@@ -497,15 +461,14 @@ let cap_plans max_plans seq =
    fault-free pass stays sequential: a parallel race on the shared run
    budget could truncate a different run subset and learn different fault
    candidates. *)
-let exhaustive_with_faults_collect ?delay_factors ?prune ?(domains = 1)
-    ?strategy ~setup ~fuel ?max_runs ?max_plans ~fault_bound ~init ~f () =
+let exhaustive_with_faults_collect ?delay_factors ?(domains = 1) ?strategy
+    ~setup ~fuel ?max_runs ?max_plans ~fault_bound ~init ~f () =
   if fault_bound < 0 then invalid_arg "Explore: fault_bound must be >= 0";
   let strategy = sweep_strategy strategy in
   let free_domains = if max_runs = None then domains else 1 in
   let learner = candidate_learner ?delay_factors () in
   let free_stats, free_accs =
-    exhaustive_collect ?prune ~domains:free_domains ~strategy ~setup ~fuel
-      ?max_runs
+    exhaustive_collect ~domains:free_domains ~strategy ~setup ~fuel ?max_runs
       ~init:(fun () -> (init (), candidate_learner ?delay_factors ()))
       ~f:(fun (acc, l) o ->
         if fault_bound > 0 then l.learn o;
@@ -522,8 +485,7 @@ let exhaustive_with_faults_collect ?delay_factors ?prune ?(domains = 1)
   in
   let plans = Array.of_list (List.of_seq plan_seq) in
   let run_plan _idx plan =
-    exhaustive_collect ~plan ?prune ~strategy ~setup ~fuel ?max_runs ~init ~f
-      ()
+    exhaustive_collect ~plan ~strategy ~setup ~fuel ?max_runs ~init ~f ()
   in
   let plan_results, stolen =
     if domains <= 1 then
@@ -556,15 +518,17 @@ let exhaustive_with_faults_collect ?delay_factors ?prune ?(domains = 1)
     Array.concat
       (Array.map fst free_accs :: Array.to_list (Array.map snd plan_results))
   in
-  (fault_stats_of ~plans:(1 + Array.length plans) merged, accs)
+  (1 + Array.length plans, merged, accs)
 
-let exhaustive_with_faults ?delay_factors ?prune ?domains ?strategy ~setup
-    ~fuel ?max_runs ?max_plans ~fault_bound ~f () =
-  fst
-    (exhaustive_with_faults_collect ?delay_factors ?prune ?domains ?strategy
-       ~setup ~fuel ?max_runs ?max_plans ~fault_bound ~init:ignore
-       ~f:(fun () o -> f o)
-       ())
+let exhaustive_with_faults ?delay_factors ?domains ?strategy ~setup ~fuel
+    ?max_runs ?max_plans ~fault_bound ~f () =
+  let plans, stats, _ =
+    exhaustive_with_faults_collect ?delay_factors ?domains ?strategy ~setup
+      ~fuel ?max_runs ?max_plans ~fault_bound ~init:ignore
+      ~f:(fun () o -> f o)
+      ()
+  in
+  (plans, stats)
 
 (* ------------------------------------------------- crash exploration -- *)
 
@@ -635,8 +599,7 @@ let exhaustive_with_crashes ?delay_factors ?strategy ~setup ~fuel ?max_runs
            crash_sweep fp ~last_at:(-1) ~horizon ~depth:1)
          (plans_up_to ~bound:fault_bound (learner.candidates ()))
    with Budget -> ());
-  fault_stats_of ~plans:!nplans
-    { !acc with truncated = !acc.truncated || !capped }
+  (!nplans, { !acc with truncated = !acc.truncated || !capped })
 
 (* ------------------------------------------------- liveness watchdog -- *)
 
@@ -712,8 +675,7 @@ type liveness_stats = {
 (* The incremental DFS with the watchdog's idle counters as the per-path
    state: every maximal run is classified in the single pass that explores
    it. [on_outcome] additionally observes every delivered outcome (the
-   fault sweep hooks the candidate learner in here). Pruning is disabled:
-   the idle counters are path state the fingerprints do not cover.
+   fault sweep hooks the candidate learner in here).
 
    Deliberately sequential: the idle counters are per-path state threaded
    through the DFS spine, so a subtree task would need the exact counter
@@ -745,8 +707,7 @@ let liveness_core ?(plan = []) ~strategy ~setup ~fuel ~window ?max_runs
     deepen ?max_runs ~stopped:(fun () -> false) strategy (fun level max_runs ->
         ( Engine.dfs
             ~restart:(fun () -> Runner.start ~plan ~setup ())
-            ~fuel ?max_runs ~prune:false ?level ~init_path:([], []) ~step_path
-            ~leaf (),
+            ~fuel ?max_runs ?level ~init_path:([], []) ~step_path ~leaf (),
           () ))
   in
   {

@@ -14,19 +14,8 @@
     {!exhaustive_via_replay}). A search is selected by a {!strategy}:
     plain enumeration ([Dfs]), source-DPOR ([Dpor], its own engine), or a
     bounded search ([Preemption_bounded]/[Delay_bounded]), which is the
-    walker run once per deepening level [0..bound].
-
-    Two optional sound-for-verdicts reductions prune the [Dfs] tree when
-    [prune] is set (or the environment variable [CAL_EXPLORE_PRUNE=1] is):
-    state-fingerprint memoization ({!Runner.fingerprint}) cuts off subtrees
-    already explored from an indistinguishable state, and sleep sets skip
-    re-exploring both orders of commuting steps of different threads.
-    Pruning underapproximates the delivered run {e set} while preserving
-    reachable-state coverage, so verdict-style callers ({!check_all},
-    {!Verify.Obligations}) may opt in; run counts shrink. Setting
-    [CAL_EXPLORE_NO_PRUNE=1] force-disables pruning even for explicit
-    opt-ins — the cross-check mode: a pruned and an unpruned pass must
-    reach identical verdicts. Bounded levels never prune.
+    walker run once per deepening level [0..bound]. Source-DPOR is the
+    only reduction: the walker itself prunes nothing.
 
     {b Parallel exploration.} Every exhaustive entry point takes
     [?domains] (default [1]): with [domains >= 2] the walker runs in that
@@ -39,11 +28,9 @@
     merged in rank order, so verdicts, witnesses and run counts match
     the sequential walk exactly (only [replayed_steps] grows, by the
     task-prefix replays) — except under [max_runs], where the shared run
-    budget admits a scheduling-dependent run subset, and under [prune],
-    where the per-task fingerprint memos make the pruned run set
-    timing-dependent (verdicts preserved). Callbacks run concurrently
-    from several domains; use the [_collect] variants (one accumulator
-    per task, merged in rank order) unless the callback is
+    budget admits a scheduling-dependent run subset. Callbacks run
+    concurrently from several domains; use the [_collect] variants (one
+    accumulator per task, merged in rank order) unless the callback is
     thread-safe. *)
 
 type stats = Engine.stats = {
@@ -56,11 +43,12 @@ type stats = Engine.stats = {
           backtracking, including the parallel front's task-prefix replays
           (for {!exhaustive_via_replay}: every step it executed, since it
           replays the whole prefix at every node) *)
-  fingerprint_hits : int;  (** subtrees cut off by fingerprint memoization *)
-  sleep_pruned : int;      (** sibling decisions skipped by sleep sets *)
+  sleep_pruned : int;
+      (** decisions the DPOR engine's sleep sets skipped ([0] for the
+          walker) *)
   races_found : int;
       (** direct races detected by the DPOR engine's vector-clock analysis
-          ([0] for the label-heuristic engines) *)
+          ([0] for the walker) *)
   backtrack_points : int;
       (** threads added to backtrack sets by source-set race reversal *)
   bound_hits : int;
@@ -107,7 +95,7 @@ val env_flag : string -> bool
 
 (** {1 Exploration strategies}
 
-    - [Dfs]: the walker, unbounded (with its opt-in pruning).
+    - [Dfs]: the walker, unbounded.
     - [Dpor]: source-DPOR over the vector-clock happens-before relation
       ({!Deps}/{!Dpor}) — explores one interleaving per Mazurkiewicz trace
       of the over-approximated dependence. {e Complete}: verdicts are
@@ -127,7 +115,7 @@ val env_flag : string -> bool
     Reports are byte-identical across domain counts by construction. *)
 
 type strategy =
-  | Dfs  (** the walker, unbounded (with its env-controlled pruning) *)
+  | Dfs  (** the walker, unbounded *)
   | Dpor  (** source-DPOR: complete, verdict-preserving reduction *)
   | Preemption_bounded of { bound : int }
       (** at most [bound] preemptive context switches per run *)
@@ -143,7 +131,6 @@ val strategy_to_string : strategy -> string
 
 val exhaustive :
   ?plan:Fault.plan ->
-  ?prune:bool ->
   ?domains:int ->
   ?strategy:strategy ->
   setup:(Ctx.t -> Runner.program) ->
@@ -170,19 +157,12 @@ val exhaustive :
     crashed threads contribute no further decisions, so the faulty search
     space is a (usually much smaller) sibling of the fault-free one.
 
-    [prune] (default off, see the module preamble for the environment
-    overrides) enables fingerprint memoization and sleep-set pruning on
-    [Dfs]: fewer runs are delivered, but every reachable terminal
-    {e state} is still represented, so property verdicts are preserved. Do
-    not combine with callbacks that count runs.
-
     [domains] (default [1]) spreads the search over that many worker
     domains (module preamble); [f] then runs concurrently and must be
     thread-safe — or use {!exhaustive_collect}. *)
 
 val exhaustive_collect :
   ?plan:Fault.plan ->
-  ?prune:bool ->
   ?domains:int ->
   ?strategy:strategy ->
   setup:(Ctx.t -> Runner.program) ->
@@ -209,7 +189,7 @@ val exhaustive_strategy :
   f:(Runner.outcome -> unit) ->
   unit ->
   stats
-(** {!exhaustive} with a mandatory [strategy] and the default pruning. *)
+(** {!exhaustive} with a mandatory [strategy]. *)
 
 val exhaustive_via_replay :
   ?plan:Fault.plan ->
@@ -223,7 +203,7 @@ val exhaustive_via_replay :
 (** The seed's stateless engine and the reference oracle: a whole-prefix
     {!Runner.replay} at every DFS node, with a single-pass
     [preemption_bound] (default unlimited). Unbounded, it delivers exactly
-    the same outcomes in exactly the same order as unpruned [Dfs]; with a
+    the same outcomes in exactly the same order as [Dfs]; with a
     bound, its DFS-order runs stably sorted by preemption cost are exactly
     the [Preemption_bounded] delivery order. Kept for cross-checking and
     for the B12 before/after cost comparison ([replayed_steps] counts
@@ -231,7 +211,6 @@ val exhaustive_via_replay :
 
 val check_all :
   ?plan:Fault.plan ->
-  ?prune:bool ->
   ?domains:int ->
   ?strategy:strategy ->
   setup:(Ctx.t -> Runner.program) ->
@@ -274,26 +253,16 @@ val races_of_durable :
     never read from the environment): a bounded strategy bounds every
     plan's exploration. [Dpor] raises [Invalid_argument] — its dependence
     analysis covers neither fault plans, persistent cells nor path
-    state. *)
+    state.
 
-type fault_stats = {
-  plans : int;          (** fault plans explored, including the empty plan *)
-  fault_runs : int;     (** outcomes delivered across all plans *)
-  fault_truncated : bool;  (** a plan hit [max_runs], or [max_plans] bit *)
-  fault_max_steps : int;
-  fault_nodes : int;             (** {!stats.nodes} summed over plans *)
-  fault_replayed_steps : int;    (** {!stats.replayed_steps} summed *)
-  fault_fingerprint_hits : int;  (** {!stats.fingerprint_hits} summed *)
-  fault_sleep_pruned : int;      (** {!stats.sleep_pruned} summed *)
-  fault_tasks_stolen : int;      (** {!stats.tasks_stolen} summed *)
-  fault_domains_used : int;      (** {!stats.domains_used} maxed *)
-  fault_domains_requested : int; (** {!stats.domains_requested} maxed *)
-  fault_bound_hits : int;        (** {!stats.bound_hits} summed *)
-}
+    The fault and crash sweeps return the number of plans explored
+    (including the empty plan) next to the per-plan stats merged with
+    {!merge_stats}: counters summed over plans, [truncated] set when a
+    plan hit [max_runs] or [max_plans] cut the enumeration, and [bounded]
+    set when a schedule bound cut an edge in any plan. *)
 
 val exhaustive_with_faults :
   ?delay_factors:int list ->
-  ?prune:bool ->
   ?domains:int ->
   ?strategy:strategy ->
   setup:(Ctx.t -> Runner.program) ->
@@ -303,7 +272,7 @@ val exhaustive_with_faults :
   fault_bound:int ->
   f:(Runner.outcome -> unit) ->
   unit ->
-  fault_stats
+  int * stats
 (** The fault analog of CHESS-style context bounding: systematically
     enumerate fault plans of at most [fault_bound] faults and explore every
     schedule under each.
@@ -344,7 +313,6 @@ val exhaustive_with_faults :
 
 val exhaustive_with_faults_collect :
   ?delay_factors:int list ->
-  ?prune:bool ->
   ?domains:int ->
   ?strategy:strategy ->
   setup:(Ctx.t -> Runner.program) ->
@@ -355,7 +323,7 @@ val exhaustive_with_faults_collect :
   init:(unit -> 'acc) ->
   f:('acc -> Runner.outcome -> unit) ->
   unit ->
-  fault_stats * 'acc array
+  int * stats * 'acc array
 (** {!exhaustive_with_faults} with per-exploration-unit accumulators: one
     per subtree task of the fault-free pass followed by one per fault
     plan, in canonical order (see {!exhaustive_collect}). *)
@@ -372,10 +340,8 @@ val exhaustive_durable :
   stats
 (** {!exhaustive} for a durable program under one fixed (possibly
     crashing) plan — the engine behind {!exhaustive_with_crashes}, exposed
-    for targeted tests. Always unpruned: persistent-cell contents are not
-    part of the state fingerprint, so memoization across crash plans would
-    be unsound. [domains] parallelizes the single plan's schedule tree;
-    [f] must then be thread-safe. *)
+    for targeted tests. [domains] parallelizes the single plan's schedule
+    tree; [f] must then be thread-safe. *)
 
 val exhaustive_with_crashes :
   ?delay_factors:int list ->
@@ -388,7 +354,7 @@ val exhaustive_with_crashes :
   ?fault_bound:int ->
   f:(Runner.outcome -> unit) ->
   unit ->
-  fault_stats
+  int * stats
 (** The crash analog of {!exhaustive_with_faults} for durable programs:
     enumerate {!Fault.Crash_system} plans and explore every schedule of
     the durable program under each.
@@ -410,14 +376,14 @@ val exhaustive_with_crashes :
     the crash-point sweep, so a thread crash or forced CAS failure can be
     combined with a system crash.
 
-    Always unpruned (see {!exhaustive_durable}) and deliberately
-    sequential (no [domains]): each plan's crash-point horizon depends on
-    the runs its parent plan delivered, so the plan enumeration is a
-    data-dependent sequential sweep (DESIGN §2.11). Outcomes delivered to
-    [f] carry their plan in [outcome.faults], the crashes that actually
-    fired in [outcome.injected], and the era count in [outcome.epochs];
-    the witness for any violation is the replayable pair
-    ([outcome.schedule], [outcome.faults]) via {!Runner.replay_durable}. *)
+    Deliberately sequential (no [domains]): each plan's crash-point
+    horizon depends on the runs its parent plan delivered, so the plan
+    enumeration is a data-dependent sequential sweep (DESIGN §2.11).
+    Outcomes delivered to [f] carry their plan in [outcome.faults], the
+    crashes that actually fired in [outcome.injected], and the era count
+    in [outcome.epochs]; the witness for any violation is the replayable
+    pair ([outcome.schedule], [outcome.faults]) via
+    {!Runner.replay_durable}. *)
 
 (** {1 Liveness watchdog}
 
@@ -489,12 +455,11 @@ val liveness :
 (** Exhaustively explore (like {!exhaustive}) and classify every maximal
     run with the watchdog, threading the idle counters down each path as
     per-path state of the incremental engine (one pass, no per-prefix
-    replays). Pruning never applies here: the idle counters are path state
-    the fingerprints do not cover. Deliberately sequential (no [domains]):
-    the witness cap and the fairness classification are order-dependent
-    path state best left on the sequential engine (DESIGN §2.11). An
-    object passes the liveness obligation when [live_livelocked = 0]: on
-    every fair schedule it either finishes or genuinely blocks. *)
+    replays). Deliberately sequential (no [domains]): the witness cap and
+    the fairness classification are order-dependent path state best left
+    on the sequential engine (DESIGN §2.11). An object passes the
+    liveness obligation when [live_livelocked = 0]: on every fair
+    schedule it either finishes or genuinely blocks. *)
 
 val liveness_with_faults :
   ?delay_factors:int list ->

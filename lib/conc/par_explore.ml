@@ -31,17 +31,8 @@
    interval already failed, so the sequential engine would never have
    reached it. The surviving failure with the lowest rank is the first
    failure in canonical schedule order — byte-identical to the
-   sequential witness.
-
-   Pruning caveat: with [prune] on, each task keeps its own fingerprint
-   memo (sharing one across tasks could cut a subtree that a
-   first-failure abort left unexplored). Since the task partition is
-   timing-dependent, the delivered run {e set} of a pruned parallel
-   sweep varies run to run; verdict coverage is preserved (same argument
-   as sequential pruning), but callers that need byte-deterministic
-   pruned reports use one domain. Unpruned sweeps — the default, and
-   everything the report contract covers — are byte-identical across
-   domain counts and executions. *)
+   sequential witness. The walker prunes nothing, so every sweep without
+   a run budget is byte-identical across domain counts and executions. *)
 
 type task = Root | Chunk of unit Engine.chunk
 
@@ -149,7 +140,7 @@ let effective_domains requested =
 
 (* ----------------------------------------------------- parallel explore -- *)
 
-let explore ~prune ~domains ?max_runs ?level ~restart ~fuel ~init ~f ?stop_on
+let explore ~domains ?max_runs ?level ~restart ~fuel ~init ~f ?stop_on
     () =
   let requested = max 1 domains in
   let leaf_of acc ~on_stop o _ () =
@@ -161,7 +152,7 @@ let explore ~prune ~domains ?max_runs ?level ~restart ~fuel ~init ~f ?stop_on
     | _ -> ()
   in
   let walk ?max_runs ?gate ?donor ?resume acc ~on_stop =
-    Engine.dfs ~restart ~fuel ?max_runs ~prune ?level ?gate ?donor ?resume
+    Engine.dfs ~restart ~fuel ?max_runs ?level ?gate ?donor ?resume
       ~init_path:()
       ~step_path:(fun () _ _ -> ())
       ~leaf:(leaf_of acc ~on_stop) ()

@@ -39,7 +39,6 @@ val effective_domains : int -> int
     always at least [1]. *)
 
 val explore :
-  prune:bool ->
   domains:int ->
   ?max_runs:int ->
   ?level:Engine.cost_model * int ->
@@ -63,11 +62,7 @@ val explore :
     for which it fired holds the same witness the sequential engine
     reports. [max_runs] is a shared atomic budget — which runs are
     admitted under it is scheduling-dependent, unlike the sequential
-    engine (callers that need run-set determinism pass no budget).
-    With [prune] each task keeps a private fingerprint memo, so the
-    delivered run {e set} of a pruned multi-domain sweep is
-    timing-dependent (verdict coverage is unaffected); callers that need
-    byte-deterministic pruned reports use one domain. *)
+    engine (callers that need run-set determinism pass no budget). *)
 
 val map_tasks :
   domains:int -> f:(int -> 'a -> 'b) -> 'a array -> 'b array * int

@@ -114,15 +114,6 @@ val steps_done : exec -> int
 val head_label : exec -> int -> string option
 (** The label of the thread's next step ([None] once it returned). *)
 
-val fingerprint : exec -> string
-(** A structural key of the execution state: per-thread program positions
-    (head constructor + label, or returned value), per-thread rolling
-    observation hashes (each step folds its label with the history/trace
-    lengths it observed), fault counters and the clock. Equal fingerprints
-    mean the engine cannot distinguish the two states; {!Explore} uses
-    this for memoized subtree pruning, guarded by the
-    [CAL_EXPLORE_NO_PRUNE=1] cross-check mode. *)
-
 val ctx : exec -> Ctx.t
 (** The execution's run context. *)
 

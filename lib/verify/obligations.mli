@@ -77,8 +77,8 @@ type report = {
   truncated : bool;
   exploration : Conc.Explore.stats option;
       (** engine cost counters of the underlying exploration — nodes
-          visited, steps replayed on backtracking, pruning hits — when the
-          check ran on the exhaustive engine; for sampled checks the
+          visited, steps replayed on backtracking, DPOR sleep-set skips —
+          when the check ran on the exhaustive engine; for sampled checks the
           [sampled_runs]/[violations_found]/[shrink_*] counters are live
           instead ([None] for liveness reports, whose stats live in
           {!Conc.Explore.liveness_stats}) *)

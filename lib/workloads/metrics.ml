@@ -379,7 +379,6 @@ type explore_cost = {
   nodes : int;
   steps_executed : int;
   replayed_steps : int;
-  fingerprint_hits : int;
   sleep_pruned : int;
   races_found : int;
   backtrack_points : int;
@@ -396,19 +395,16 @@ let explore_cost ~engine ~setup ~fuel ?max_runs () =
     Explore.exhaustive_via_replay ~setup ~fuel ?max_runs
       ?preemption_bound:bound ~f:ignore ()
   in
-  let walk ?prune ?domains strategy =
-    Explore.exhaustive ?prune ?domains ~strategy ~setup ~fuel ?max_runs
-      ~f:ignore ()
+  let walk ?domains strategy =
+    Explore.exhaustive ?domains ~strategy ~setup ~fuel ?max_runs ~f:ignore ()
   in
   let name, stats =
     match engine with
     | `Replay -> ("replay", replay None)
     | `Replay_bounded b -> (Printf.sprintf "replay<=%d" b, replay (Some b))
-    | `Incremental -> ("incremental", walk ~prune:false Explore.Dfs)
-    | `Pruned -> ("incremental+prune", walk ~prune:true Explore.Dfs)
+    | `Incremental -> ("incremental", walk Explore.Dfs)
     | `Parallel d ->
-        ( Printf.sprintf "parallel-%d" d,
-          walk ~prune:false ~domains:d Explore.Dfs )
+        (Printf.sprintf "parallel-%d" d, walk ~domains:d Explore.Dfs)
     | `Dpor -> ("dpor", walk Explore.Dpor)
     | `Preemption_bounded b ->
         ( Printf.sprintf "preemption:%d" b,
@@ -422,7 +418,7 @@ let explore_cost ~engine ~setup ~fuel ?max_runs () =
     | `Replay | `Replay_bounded _ ->
         (* the replay engine executes exactly the steps it replays *)
         stats.Explore.replayed_steps
-    | `Incremental | `Pruned | `Parallel _ | `Dpor | `Preemption_bounded _
+    | `Incremental | `Parallel _ | `Dpor | `Preemption_bounded _
     | `Delay_bounded _ ->
         (* one fresh step per tree edge, plus the backtracking replays *)
         max 0 (stats.Explore.nodes - 1) + stats.Explore.replayed_steps
@@ -433,7 +429,6 @@ let explore_cost ~engine ~setup ~fuel ?max_runs () =
     nodes = stats.Explore.nodes;
     steps_executed;
     replayed_steps = stats.Explore.replayed_steps;
-    fingerprint_hits = stats.Explore.fingerprint_hits;
     sleep_pruned = stats.Explore.sleep_pruned;
     races_found = stats.Explore.races_found;
     backtrack_points = stats.Explore.backtrack_points;
@@ -447,9 +442,9 @@ let explore_cost ~engine ~setup ~fuel ?max_runs () =
 
 let pp_explore_cost ppf c =
   Fmt.pf ppf
-    "%-18s runs=%-6d nodes=%-7d steps=%-8d replayed=%-8d fp=%-5d sleep=%d%s%s%s%s"
+    "%-18s runs=%-6d nodes=%-7d steps=%-8d replayed=%-8d sleep=%d%s%s%s%s"
     c.engine c.explored_runs c.nodes c.steps_executed c.replayed_steps
-    c.fingerprint_hits c.sleep_pruned
+    c.sleep_pruned
     (if c.races_found > 0 || c.backtrack_points > 0 then
        Fmt.str " races=%d backtracks=%d" c.races_found c.backtrack_points
      else "")

@@ -95,23 +95,22 @@ val pp_result : Format.formatter -> result -> unit
 
     Cost counters of one exhaustive exploration, for the B12 engine
     comparison: the same state space explored by the seed's
-    whole-prefix-replay engine ([`Replay]), the incremental engine
-    ([`Incremental]) and the incremental engine with fingerprint/sleep-set
-    pruning ([`Pruned]). [steps_executed] is the total number of program
+    whole-prefix-replay engine ([`Replay]) and the incremental engine
+    ([`Incremental]), with source-DPOR ([`Dpor]) and the bounded and
+    parallel walks alongside. [steps_executed] is the total number of program
     steps the engine actually executed — the replay engine's per-node
     whole-prefix replays versus the incremental engine's one step per tree
     edge plus its backtracking replays. *)
 
 type explore_cost = {
   engine : string;
-      (** "replay" | "replay<=N" | "incremental" | "incremental+prune"
-          | "parallel-N" | "dpor" | "preemption:N" | "delay:N" *)
+      (** "replay" | "replay<=N" | "incremental" | "parallel-N" | "dpor"
+          | "preemption:N" | "delay:N" *)
   explored_runs : int;    (** terminal outcomes delivered *)
   nodes : int;            (** schedule-tree nodes visited *)
   steps_executed : int;   (** program steps executed in total *)
   replayed_steps : int;   (** of which re-executed prefix steps *)
-  fingerprint_hits : int;
-  sleep_pruned : int;
+  sleep_pruned : int;     (** decisions DPOR's sleep sets skipped *)
   races_found : int;      (** dependent step pairs the HB analysis flagged *)
   backtrack_points : int; (** source-DPOR backtrack insertions *)
   bound_hits : int;       (** branches cut at the final deepening level *)
@@ -132,7 +131,6 @@ val explore_cost :
     [ `Replay
     | `Replay_bounded of int
     | `Incremental
-    | `Pruned
     | `Parallel of int
     | `Dpor
     | `Preemption_bounded of int
@@ -143,14 +141,13 @@ val explore_cost :
   unit ->
   explore_cost
 (** Explore [setup] exhaustively with the chosen engine (outcomes are
-    discarded) and report the cost counters. Note [`Pruned] asks for
-    pruning explicitly, so [CAL_EXPLORE_NO_PRUNE=1] turns it into
-    [`Incremental]. [`Parallel d] is the unpruned incremental engine
-    spread over [d] worker domains ({!Conc.Par_explore}) — same runs and
-    nodes, [replayed_steps] grows by the task-prefix replays. [`Dpor]
-    and the bounded engines run {!Conc.Explore.exhaustive_strategy}
-    ([preemption_bound] is ignored there — the strategy defines the run
-    set). *)
+    discarded) and report the cost counters. [`Parallel d] is the
+    incremental engine spread over [d] worker domains
+    ({!Conc.Par_explore}) — same runs and nodes, [replayed_steps] grows by
+    the task-prefix replays. [`Dpor], [`Preemption_bounded b] and
+    [`Delay_bounded b] run {!Conc.Explore.exhaustive} with the matching
+    strategy; [`Replay_bounded b] is the reference oracle with its
+    single-pass preemption bound [b]. *)
 
 val pp_explore_cost : Format.formatter -> explore_cost -> unit
 

@@ -1,6 +1,6 @@
 (* Tests for the source-DPOR engine and the bounded iterative-deepening
    strategies: vector-clock dependency on hand-built races, race reporting
-   on witness schedules, verdict agreement with the unpruned engine on
+   on witness schedules, verdict agreement with the unreduced walker on
    every standard scenario, bug-finding under the bounds, exact-partition
    honesty of the deepening levels, and strategy parsing. *)
 
@@ -187,7 +187,7 @@ let agreement_cases () =
   ]
 
 (* DPOR is a complete reduction: the full-obligation verdict must agree
-   with the unpruned DFS on every scenario, and a rejection's witness
+   with the unreduced DFS on every scenario, and a rejection's witness
    schedule must replay to a failing outcome. *)
 let test_dpor_agrees_with_dfs () =
   List.iter
@@ -295,7 +295,7 @@ let test_dpor_keeps_lost_update () =
 let test_deepening_partitions_exactly () =
   let fuel = 8 in
   let dfs =
-    Explore.exhaustive ~prune:false ~setup:lost_update_setup ~fuel ~f:ignore ()
+    Explore.exhaustive ~setup:lost_update_setup ~fuel ~f:ignore ()
   in
   List.iter
     (fun strategy ->
