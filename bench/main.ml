@@ -652,6 +652,17 @@ let figure_crash () =
   close_out oc;
   Fmt.pr "# rows written to BENCH_crash.json@."
 
+(* The commit a figure was measured at, or "unknown" outside a git
+   checkout. *)
+let git_commit () =
+  match Unix.open_process_in "git rev-parse HEAD 2>/dev/null" with
+  | exception Unix.Unix_error _ -> "unknown"
+  | ic -> (
+      let line = In_channel.input_line ic in
+      match (Unix.close_process_in ic, line) with
+      | Unix.WEXITED 0, Some c when c <> "" -> c
+      | _ -> "unknown")
+
 (* B14 — parallel exploration with the canonical-history verdict cache:
    black-box verification wall-clock across worker-domain counts, cache on
    and off. Verdict equality with the sequential cache-less baseline is
@@ -664,6 +675,10 @@ let figure_crash () =
    Unix.gettimeofday: Sys.time sums CPU time over every domain, which
    would misreport any multi-domain run. Results land in
    BENCH_parallel.json.
+
+   One more row sets the canonical key against the exploration it
+   serves on the headline cell (key time per run <= 0.5x explored-run
+   time), and the file records the commit it was measured at.
 
    The B14 preamble also micro-asserts that the accumulator-based
    [Cal_checker.subsets_up_to] rewrite preserved the checker's search
@@ -876,6 +891,54 @@ let figure_parallel () =
        :: (List.map (fun (_, (row, _, _)) -> row) storm_raw_cells
            @ List.map (fun (_, (row, _, _)) -> row) storm_cells))
   in
+  (* The verdict-cache key against the exploration it serves, on the
+     headline cell: one sequential exploration whose delivered histories
+     are keyed in chunks, so both costs come from the same histories in
+     the same process and the key time is clocked apart from the
+     walker's. The key runs on every outcome, hit or miss; if it costs
+     more than half an explored run, it eats the cache's gain. *)
+  let key_runs, explore_us, key_us =
+    let chunk = Array.make 512 History.empty in
+    let filled = ref 0 and key_s = ref 0. in
+    let flush () =
+      let t0 = Unix.gettimeofday () in
+      for i = 0 to !filled - 1 do
+        ignore (Sys.opaque_identity (History.canonical_key chunk.(i)))
+      done;
+      key_s := !key_s +. (Unix.gettimeofday () -. t0);
+      filled := 0
+    in
+    Gc.compact ();
+    let t0 = Unix.gettimeofday () in
+    let stats =
+      Conc.Explore.exhaustive ~setup:storm.setup ~fuel:sfuel
+        ?strategy:
+          (Option.map
+             (fun bound -> Conc.Explore.Preemption_bounded { bound })
+             sbound)
+        ~f:(fun (o : Conc.Runner.outcome) ->
+          chunk.(!filled) <- o.history;
+          incr filled;
+          if !filled = Array.length chunk then flush ())
+        ()
+    in
+    flush ();
+    let total_s = Unix.gettimeofday () -. t0 in
+    let per_run s = s *. 1e6 /. float_of_int (max 1 stats.Conc.Explore.runs) in
+    (stats.Conc.Explore.runs, per_run (total_s -. !key_s), per_run !key_s)
+  in
+  let key_ratio = key_us /. Float.max 1e-9 explore_us in
+  Fmt.pr "%-26s %5d %9d runs: explore %.2f us/run, canonical_key %.2f \
+          us/run (%.2fx)@."
+    (storm.name ^ " key") sfuel key_runs explore_us key_us key_ratio;
+  if key_runs <> sbase.Verify.Obligations.runs then
+    Fmt.failwith "B14: key row explored %d runs, the headline cell %d" key_runs
+      sbase.Verify.Obligations.runs;
+  if key_ratio > 0.5 then
+    Fmt.failwith
+      "B14: canonical_key costs %.2fx an explored run on %s (<= 0.5x \
+       required)"
+      key_ratio storm.name;
   let oc = open_out "BENCH_parallel.json" in
   let json_row
       (name, fuel, domains, used, cache, runs, hits, stolen, ms, speedup) =
@@ -893,9 +956,13 @@ let figure_parallel () =
   in
   Printf.fprintf oc
     "{\n  \"bench\": \"parallel_explore\",\n  \"hw_cores\": %d,\n  \
-     \"rows\": [\n%s\n  ]\n}\n"
-    cores
-    (String.concat ",\n" (List.map json_row rows));
+     \"commit\": %S,\n  \"rows\": [\n%s\n  ],\n  \
+     \"key_vs_explore\": {\"scenario\": %S, \"fuel\": %d, \"runs\": %d, \
+     \"explore_us_per_run\": %.3f, \"key_us_per_run\": %.3f, \
+     \"ratio\": %.3f}\n}\n"
+    cores (git_commit ())
+    (String.concat ",\n" (List.map json_row rows))
+    storm.name sfuel key_runs explore_us key_us key_ratio;
   close_out oc;
   (match prev_oversub with
   | Some v -> Unix.putenv "CAL_EXPLORE_OVERSUBSCRIBE" v

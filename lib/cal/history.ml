@@ -314,63 +314,104 @@ let canonicalize h =
   done;
   out
 
-(* The key is built with a plain [Buffer] rather than [Action.show]: the
-   cache pays the key cost on every outcome, hit or miss, so a Fmt-based
-   key would cost as much as the checker call it saves. Strings are
-   netstring-style length-prefixed, so distinct actions never collide. *)
-let add_str buf s =
-  Buffer.add_string buf (string_of_int (String.length s));
-  Buffer.add_char buf ':';
-  Buffer.add_string buf s
+(* The key is an opaque binary string, injective on canonical classes and
+   not meant for display. Each action is written as a prefix-free code: a
+   one-byte tag, then its fields — LEB128 varints for thread ids, epochs
+   and lengths, zigzag varints for [Value.Int], length-prefixed bytes for
+   object, method and [Str] names, and a tag per value node. A
+   concatenation of prefix-free codes decodes uniquely, so two canonical
+   histories share a key exactly when they are equal. The cache pays the
+   key on every outcome, hit or miss, so the writer sizes the key in one
+   pass and fills a single [Bytes] in a second: no intermediate strings
+   and no decimal formatting. *)
 
-let rec add_value buf v =
-  match (v : Value.t) with
-  | Unit -> Buffer.add_char buf 'u'
-  | Bool true -> Buffer.add_char buf 'T'
-  | Bool false -> Buffer.add_char buf 'F'
-  | Int n ->
-      Buffer.add_char buf 'i';
-      Buffer.add_string buf (string_of_int n)
-  | Str s ->
-      Buffer.add_char buf 's';
-      add_str buf s
-  | Pair (a, b) ->
-      Buffer.add_char buf 'p';
-      add_value buf a;
-      add_value buf b
+(* Varints read the int as unsigned: a negative one (two's complement)
+   takes the full width and still decodes uniquely. *)
+let varint_size n =
+  let rec go n k = if n land lnot 0x7f = 0 then k else go (n lsr 7) (k + 1) in
+  go n 1
+
+let rec put_varint b pos n =
+  if n land lnot 0x7f = 0 then begin
+    Bytes.set b pos (Char.unsafe_chr n);
+    pos + 1
+  end
+  else begin
+    Bytes.set b pos (Char.unsafe_chr (n land 0x7f lor 0x80));
+    put_varint b (pos + 1) (n lsr 7)
+  end
+
+(* Small magnitudes of either sign get short codes. *)
+let zigzag n = (n lsl 1) lxor (n asr (Sys.int_size - 1))
+
+let str_size s =
+  let l = String.length s in
+  varint_size l + l
+
+let put_str b pos s =
+  let l = String.length s in
+  let pos = put_varint b pos l in
+  Bytes.blit_string s 0 b pos l;
+  pos + l
+
+let put_tag b pos c =
+  Bytes.set b pos c;
+  pos + 1
+
+let rec value_size (v : Value.t) =
+  match v with
+  | Unit | Bool _ -> 1
+  | Int n -> 1 + varint_size (zigzag n)
+  | Str s -> 1 + str_size s
+  | Pair (x, y) -> 1 + value_size x + value_size y
   | List vs ->
-      Buffer.add_char buf 'l';
-      Buffer.add_string buf (string_of_int (List.length vs));
-      Buffer.add_char buf ':';
-      List.iter (add_value buf) vs
+      List.fold_left
+        (fun size v -> size + value_size v)
+        (1 + varint_size (List.length vs))
+        vs
 
-let add_action buf a =
-  match (a : Action.t) with
-  | Inv { tid; oid; fid; arg } ->
-      Buffer.add_char buf 'I';
-      Buffer.add_string buf (string_of_int (Tid.to_int tid));
-      add_str buf (Oid.to_string oid);
-      add_str buf (Fid.to_string fid);
-      add_value buf arg
-  | Res { tid; oid; fid; ret } ->
-      Buffer.add_char buf 'R';
-      Buffer.add_string buf (string_of_int (Tid.to_int tid));
-      add_str buf (Oid.to_string oid);
-      add_str buf (Fid.to_string fid);
-      add_value buf ret
-  | Crash { epoch } ->
-      Buffer.add_char buf 'C';
-      Buffer.add_string buf (string_of_int epoch)
+let rec put_value b pos (v : Value.t) =
+  match v with
+  | Unit -> put_tag b pos 'u'
+  | Bool true -> put_tag b pos 'T'
+  | Bool false -> put_tag b pos 'F'
+  | Int n -> put_varint b (put_tag b pos 'i') (zigzag n)
+  | Str s -> put_str b (put_tag b pos 's') s
+  | Pair (x, y) -> put_value b (put_value b (put_tag b pos 'p') x) y
+  | List vs ->
+      List.fold_left (put_value b)
+        (put_varint b (put_tag b pos 'l') (List.length vs))
+        vs
+
+(* Identifiers are coerced to their representation rather than converted
+   through [Tid.to_int]/[Oid.to_string], which cost a call each. *)
+let action_size (a : Action.t) =
+  match a with
+  | Inv { tid; oid; fid; arg = v } | Res { tid; oid; fid; ret = v } ->
+      1 + varint_size (tid :> int)
+      + str_size (oid :> string)
+      + str_size (fid :> string)
+      + value_size v
+  | Crash { epoch } -> 1 + varint_size epoch
+
+let put_call b pos tag (tid : Tid.t) (oid : Oid.t) (fid : Fid.t) v =
+  let pos = put_varint b (put_tag b pos tag) (tid :> int) in
+  let pos = put_str b pos (oid :> string) in
+  put_value b (put_str b pos (fid :> string)) v
+
+let put_action b pos (a : Action.t) =
+  match a with
+  | Inv { tid; oid; fid; arg } -> put_call b pos 'I' tid oid fid arg
+  | Res { tid; oid; fid; ret } -> put_call b pos 'R' tid oid fid ret
+  | Crash { epoch } -> put_varint b (put_tag b pos 'C') epoch
 
 let canonical_key h =
   let c = canonicalize h in
-  let buf = Buffer.create (16 * Array.length c + 16) in
-  Array.iter
-    (fun a ->
-      add_action buf a;
-      Buffer.add_char buf '\n')
-    c;
-  Buffer.contents buf
+  let size = Array.fold_left (fun n a -> n + action_size a) 0 c in
+  let b = Bytes.create size in
+  let len = Array.fold_left (put_action b) 0 c in
+  assert (len = size);
+  Bytes.unsafe_to_string b
 
 let pp ppf h =
   Fmt.pf ppf "@[<v>%a@]" (Fmt.list ~sep:Fmt.cut Action.pp) (to_list h)

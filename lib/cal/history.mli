@@ -155,8 +155,11 @@ val canonicalize : t -> t
     verdict-preserving, with identical entries, eras and [precedes]. *)
 
 val canonical_key : t -> string
-(** A printable key uniquely identifying [canonicalize h] — equal exactly
-    for canonically equal histories. *)
+(** An opaque binary key for the canonical class of [h]: equal exactly for
+    canonically equal histories (injective on canonical classes). It is
+    meant for hashing and comparison, not for display — it may hold any
+    byte, so callers that extend it with other fields must length-prefix
+    them ({!Verdict_cache.key}). *)
 
 val canonical_equal : t -> t -> bool
 (** [equal (canonicalize a) (canonicalize b)]. *)

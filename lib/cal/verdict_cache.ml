@@ -30,6 +30,23 @@
 
 type verdict = (unit, string) result
 
+(* A fixed four-byte length before each field makes the join injective on
+   field lists whatever bytes the fields hold — canonical keys are binary
+   and may contain any separator one could pick. *)
+let key fields =
+  let size = List.fold_left (fun n f -> n + 4 + String.length f) 0 fields in
+  let b = Bytes.create size in
+  let (_ : int) =
+    List.fold_left
+      (fun pos f ->
+        let l = String.length f in
+        Bytes.set_int32_be b pos (Int32.of_int l);
+        Bytes.blit_string f 0 b (pos + 4) l;
+        pos + 4 + l)
+      0 fields
+  in
+  Bytes.unsafe_to_string b
+
 type shard = {
   lock : Mutex.t;
   table : (string, verdict) Hashtbl.t;

@@ -16,13 +16,21 @@
 
     A cache instance is meant to live for one check invocation (one
     specification, one checker mode): the caller builds keys that are
-    unique within that scope — typically
-    [History.canonical_key h ^ crashed-set ^ checker-tag]. Rejection
+    unique within that scope — the opaque binary
+    [History.canonical_key h] alone, or, when the verdict also depends on
+    more, {!key} over the checker tag, the crashed threads and the
+    canonical key. Rejection
     {e reasons} of the checkers depend only on the specification name and
     the crash structure of the history, both canonical-form-invariant, so
     caching the full [(unit, string) result] verdict is sound. *)
 
 type verdict = (unit, string) result
+
+val key : string list -> string
+(** [key fields] joins [fields] into one cache key, each field prefixed
+    with its length, so distinct field lists never share a key whatever
+    bytes the fields contain. Use it to combine a binary
+    {!History.canonical_key} with the other inputs a verdict depends on. *)
 
 type t
 

@@ -14,8 +14,10 @@ let delay ~thread ~factor = Delay { thread; factor }
 let crash_system ~at_step = Crash_system { at_step }
 
 let validate ?(max_crash_depth = 1) plan =
-  let seen_crash = Hashtbl.create 4 in
-  let seen_delay = Hashtbl.create 4 in
+  (* plans are a handful of entries: lists, so an empty plan allocates no
+     table *)
+  let seen_crash = ref [] in
+  let seen_delay = ref [] in
   let sys_crashes = ref 0 in
   let last_sys = ref (-1) in
   let rec go = function
@@ -36,10 +38,10 @@ let validate ?(max_crash_depth = 1) plan =
     | Crash { thread; at_step } :: rest ->
         if thread < 0 then Error "Crash: negative thread"
         else if at_step < 0 then Error "Crash: negative at_step"
-        else if Hashtbl.mem seen_crash thread then
+        else if List.mem thread !seen_crash then
           Error (Fmt.str "two crashes of thread %d" thread)
         else begin
-          Hashtbl.replace seen_crash thread ();
+          seen_crash := thread :: !seen_crash;
           go rest
         end
     | Fail_step { label; nth } :: rest ->
@@ -54,10 +56,10 @@ let validate ?(max_crash_depth = 1) plan =
     | Delay { thread; factor } :: rest ->
         if thread < 0 then Error "Delay: negative thread"
         else if factor < 2 then Error "Delay: factor must be >= 2"
-        else if Hashtbl.mem seen_delay thread then
+        else if List.mem thread !seen_delay then
           Error (Fmt.str "two delays of thread %d" thread)
         else begin
-          Hashtbl.replace seen_delay thread ();
+          seen_delay := thread :: !seen_delay;
           go rest
         end
   in

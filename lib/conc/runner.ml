@@ -42,7 +42,9 @@ type fault_state = {
   mutable crash_at : int array;   (* per-thread crash point, max_int if none *)
   mutable stall_until : int array; (* global step before which the thread sleeps *)
   mutable sys_pending : int list; (* remaining Crash_system points, ascending *)
-  fail_seen : (string, int) Hashtbl.t;  (* pattern -> matching fallible steps *)
+  mutable fail_seen : (string * int) list;
+      (* pattern -> matching fallible steps; one entry per Fail_step
+         pattern seen so far, so a plan without one allocates nothing *)
   mutable fired_rev : Fault.t list;     (* Fail_step and Stall firings, newest first *)
   mutable fallible_rev : string list;   (* labels of executed fallible steps *)
 }
@@ -63,7 +65,7 @@ let fault_state ~threads plan =
       crash_at;
       stall_until;
       sys_pending = Fault.system_crash_points plan;
-      fail_seen = Hashtbl.create 4;
+      fail_seen = [];
       fired_rev = [];
       fallible_rev = [];
     }
@@ -105,16 +107,20 @@ let stalled fs i = fs.global_step < fs.stall_until.(i)
    pattern), and only then is the forcing decision taken. A short-circuit
    here would make the second pattern's counter skip the step and fire its
    fault one occurrence late. *)
+let fail_count fs pattern =
+  Option.value ~default:0 (List.assoc_opt pattern fs.fail_seen)
+
 let forced_failure fs label =
   fs.fallible_rev <- label :: fs.fallible_rev;
-  let bumped = Hashtbl.create 4 in
+  let bumped = ref [] in
   List.iter
     (function
       | Fault.Fail_step { label = pattern; _ }
-        when Fault.matches_label ~pattern label && not (Hashtbl.mem bumped pattern) ->
-          Hashtbl.replace bumped pattern ();
-          Hashtbl.replace fs.fail_seen pattern
-            (1 + Option.value ~default:0 (Hashtbl.find_opt fs.fail_seen pattern))
+        when Fault.matches_label ~pattern label && not (List.mem pattern !bumped) ->
+          bumped := pattern :: !bumped;
+          fs.fail_seen <-
+            (pattern, 1 + fail_count fs pattern)
+            :: List.remove_assoc pattern fs.fail_seen
       | _ -> ())
     fs.plan;
   List.fold_left
@@ -122,7 +128,7 @@ let forced_failure fs label =
       match f with
       | Fault.Fail_step { label = pattern; nth }
         when Fault.matches_label ~pattern label
-             && Option.value ~default:0 (Hashtbl.find_opt fs.fail_seen pattern) = nth ->
+             && fail_count fs pattern = nth ->
           fs.fired_rev <- f :: fs.fired_rev;
           true
       | _ -> forced)

@@ -168,9 +168,12 @@ let check_verdict ?cache t =
   | None -> compute ()
   | Some c ->
       let key =
-        Fmt.str "serve|%s|%s|%s" t.spec.Spec.name
-          (Spec.key t.committed)
-          (History.canonical_key (window_history t))
+        Verdict_cache.key
+          [
+            t.spec.Spec.name;
+            Spec.key t.committed;
+            History.canonical_key (window_history t);
+          ]
       in
       Verdict_cache.find_or_compute c ~key compute
 

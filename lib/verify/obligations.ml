@@ -316,11 +316,10 @@ let durable_check ~checker ~spec (outcome : Conc.Runner.outcome) =
    (the checker's crash-tolerant mode) and on which checker runs, so both
    go into the cache key next to the canonical history. *)
 let durable_key ~checker (outcome : Conc.Runner.outcome) =
-  String.concat "|"
+  Verdict_cache.key
     ((match checker with `Cal -> "cal" | `Lin -> "lin")
+    :: History.canonical_key outcome.history
     :: List.map string_of_int (crashed_tids outcome))
-  ^ "\n"
-  ^ History.canonical_key outcome.history
 
 let check_durable_with_faults ?(checker = `Cal) ?cache ?delay_factors ?strategy
     ~setup ~spec ~fuel ?max_runs ?max_plans ?max_crash_depth ~fault_bound () =

@@ -147,6 +147,197 @@ let test_key_iff_canonical_on_explored () =
     done
   done
 
+(* The cache counters of a small rejecting black-box cell, pinned to what
+   the decimal-text key produced: an encoding that split a canonical class
+   would add misses, one that merged two would add hits (and could hand a
+   run another class's verdict). Explicit domains and strategy keep the
+   environment's defaults out of the numbers. *)
+let test_cache_counters_pinned () =
+  let s = Workloads.Scenarios.faulty_elim_stack () in
+  let strategy = Option.get (Workloads.Scenarios.strategy s) in
+  let r =
+    Verify.Obligations.check_black_box ~domains:1 ~strategy ~cache:true
+      ~setup:s.setup ~spec:s.spec ~fuel:s.fuel ()
+  in
+  let hits =
+    match r.exploration with Some e -> e.Conc.Explore.cache_hits | None -> -1
+  in
+  Alcotest.(check int) "runs" 944 r.runs;
+  Alcotest.(check int) "cache hits" 904 hits;
+  Alcotest.(check int) "problems" 10 (List.length r.problems);
+  (match r.problems with
+  | [] -> Alcotest.fail "no problem found"
+  | p :: _ ->
+      Alcotest.(check string) "first problem"
+        "no completion of the history is explained by any stack(S) trace"
+        p.message;
+      Alcotest.(check string) "first problem's schedule"
+        "t0 t0 t0 t0 t0 t1 t1 t1 t1 t2 t2 t2 t2"
+        (Fmt.str "%a" (Fmt.list ~sep:(Fmt.any " ") Conc.Runner.pp_decision)
+           p.schedule));
+  (* the same lookups with the cache in hand, for misses and size *)
+  let vc = Verdict_cache.create () in
+  let (_ : Conc.Explore.stats) =
+    Conc.Explore.exhaustive ~domains:1 ~strategy ~setup:s.setup ~fuel:s.fuel
+      ~f:(fun (o : Conc.Runner.outcome) ->
+        ignore
+          (Verdict_cache.find_or_compute vc ~key:(key o.history) (fun () ->
+               match Cal_checker.check ~spec:s.spec o.history with
+               | Cal_checker.Accepted _ -> Ok ()
+               | Cal_checker.Rejected { reason; _ } -> Error reason)))
+      ()
+  in
+  Alcotest.(check int) "hits" 904 (Verdict_cache.hits vc);
+  Alcotest.(check int) "misses" 40 (Verdict_cache.misses vc);
+  Alcotest.(check int) "size" 40 (Verdict_cache.size vc)
+
+(* Key injectivity over hostile histories: [canonical_key] is a binary
+   encoding, so the generators aim at what a sloppy encoding would
+   conflate — signs and extremes of ints, varint width boundaries
+   (127/128, 16383/16384), names and strings holding separators, NUL and
+   digits, [List []] next to [Unit], nested pairs and lists, and crash
+   markers. Histories need not be well-formed: the key is total. *)
+module Hostile = struct
+  open QCheck.Gen
+
+  let ints =
+    [ 0; 1; -1; 62; 63; 64; -64; -65; 127; 128; -128; 16383; 16384; -16384;
+      max_int; min_int; max_int - 1; min_int + 1 ]
+
+  let strs =
+    [ ""; ":"; "\n"; "|"; "\000"; "0"; "12"; "1:"; ":1"; "a|b"; "i1"; "s0:";
+      "\000\001"; String.make 128 'x' ]
+
+  let names = [ "E"; "S"; "E1"; "1"; ":"; "|"; "\n"; "\000"; "a:b"; "op"; "opx" ]
+  let tids = [ 0; 1; 2; 127; 128; 16383; 16384 ]
+  let epochs = [ 0; 1; 2; 127; 128; -1; max_int; min_int ]
+
+  let value =
+    sized_size (int_bound 3)
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 return Value.Unit;
+                 map Value.bool bool;
+                 map Value.int (oneof [ oneofl ints; int ]);
+                 map Value.str (oneof [ oneofl strs; string_size (int_bound 4) ]);
+                 return (Value.List []);
+               ]
+           in
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 (1, map2 Value.pair (self (n - 1)) (self (n - 1)));
+                 (1, map Value.list (list_size (int_bound 3) (self (n - 1))));
+               ])
+
+  let action =
+    frequency
+      [
+        ( 4,
+          map4
+            (fun inv t (o, f) v ->
+              let tid = Ids.Tid.of_int t
+              and oid = Ids.Oid.v o
+              and fid = Ids.Fid.v f in
+              if inv then Action.inv ~tid ~oid ~fid v
+              else Action.res ~tid ~oid ~fid v)
+            bool (oneofl tids)
+            (pair (oneofl names) (oneofl names))
+            value );
+        (1, map (fun epoch -> Action.crash ~epoch) (oneofl epochs));
+      ]
+
+  let history = map History.of_list (list_size (int_bound 8) action)
+
+  (* Values a loose encoding could confuse with [v]. *)
+  let confusable (v : Value.t) =
+    match v with
+    | Unit -> oneofl [ Value.List []; Value.Str ""; Value.Int 0 ]
+    | List [] -> oneofl [ Value.Unit; Value.Str "" ]
+    | Int n ->
+        oneofl
+          [ Value.Int (-n); Value.Int (n + 1); Value.Int (-n - 1);
+            Value.Str (string_of_int n) ]
+    | Str s -> oneofl [ Value.Str (s ^ "|"); Value.Str ("\000" ^ s); Value.List [ v ] ]
+    | Bool b -> return (Value.Bool (not b))
+    | Pair (x, y) -> oneofl [ Value.List [ x; y ]; Value.Pair (y, x); x ]
+    | List (x :: rest) -> oneofl [ Value.List rest; Value.Pair (x, Value.List rest) ]
+
+  (* The same action with exactly one field changed. *)
+  let mutate (a : Action.t) =
+    match a with
+    | Crash { epoch } -> return (Action.crash ~epoch:(epoch + 1))
+    | Inv { tid; oid; fid; arg = v } | Res { tid; oid; fid; ret = v } ->
+        let rebuild ~tid ~oid ~fid v =
+          if Action.is_inv a then Action.inv ~tid ~oid ~fid v
+          else Action.res ~tid ~oid ~fid v
+        in
+        let tid_i = Ids.Tid.to_int tid in
+        oneof
+          [
+            map
+              (fun t -> rebuild ~tid:(Ids.Tid.of_int t) ~oid ~fid v)
+              (oneofl (List.filter (( <> ) tid_i) tids));
+            map
+              (fun o -> rebuild ~tid ~oid:(Ids.Oid.v o) ~fid v)
+              (oneofl
+                 (List.filter (( <> ) (Ids.Oid.to_string oid)) names));
+            map
+              (fun f -> rebuild ~tid ~oid ~fid:(Ids.Fid.v f) v)
+              (oneofl
+                 (List.filter (( <> ) (Ids.Fid.to_string fid)) names));
+            map (rebuild ~tid ~oid ~fid) (confusable v);
+            return
+              (if Action.is_inv a then Action.res ~tid ~oid ~fid v
+               else Action.inv ~tid ~oid ~fid v);
+          ]
+
+  (* A second history related to the first: one field of one action
+     changed, an adjacent pair swapped (same kind: equal class; mixed or
+     crash: usually not), an action dropped, or an unrelated history. *)
+  let related h =
+    let acts = Array.of_list (History.to_list h) in
+    let n = Array.length acts in
+    if n = 0 then history
+    else
+      int_bound (n - 1) >>= fun i ->
+      frequency
+        [
+          ( 3,
+            map
+              (fun a' ->
+                let b = Array.copy acts in
+                b.(i) <- a';
+                History.of_list (Array.to_list b))
+              (mutate acts.(i)) );
+          ( 3,
+            return
+              (let b = Array.copy acts in
+               let j = min (i + 1) (n - 1) in
+               b.(i) <- acts.(j);
+               b.(j) <- acts.(i);
+               History.of_list (Array.to_list b)) );
+          ( 1,
+            return
+              (History.of_list
+                 (List.filteri (fun k _ -> k <> i) (Array.to_list acts))) );
+          (1, history);
+        ]
+
+  let pair_arb =
+    QCheck.make
+      ~print:(fun (a, b) ->
+        Fmt.str "@[<v>a:@,%a@,b:@,%a@]" History.pp a History.pp b)
+      (history >>= fun a -> map (fun b -> (a, b)) (related a))
+end
+
+let prop_key_injective (a, b) =
+  String.equal (key a) (key b) = History.canonical_equal a b
+
 (* ------------------------------------ bounded verdict cache (service) -- *)
 
 (* A bounded cache must stay verdict-transparent: whatever the capacity,
@@ -243,6 +434,10 @@ let () =
             test_format_round_trip_preserves_canonical;
           t "key equality is canonical equality on explored histories"
             test_key_iff_canonical_on_explored;
+          t "cache counters pinned on faulty-elim-stack-1p2c"
+            test_cache_counters_pinned;
+          qtest ~count:3000 "key injective on hostile histories"
+            Hostile.pair_arb prop_key_injective;
         ] );
       ( "verdict cache bounds",
         [

@@ -324,6 +324,79 @@ let test_overflow_still_catches_violations () =
   | Some s -> check_bool "latched" true (Session.latched s <> None)
   | None -> Alcotest.fail "session missing"
 
+(* The overflow verdict is cached under (spec, committed state, window).
+   Two sessions whose state and window keys split the same bytes at a
+   different place must not share a verdict. With an unprefixed
+   "serve|name|state|window" key they did: a binary window key can hold
+   the byte '|', and a state key may hold anything. Here state "x" with
+   window [op0; op1] and state "x|<op0 minus its last byte>" with window
+   [op1] print the same unprefixed key; the first state accepts every
+   element, the second rejects every element. *)
+let test_overflow_cache_key_is_injective () =
+  let o = Ids.Oid.v "G" and f = Ids.Fid.v "op" in
+  let gate =
+    Spec.make ~name:"gate" ~owns:(fun _ -> true) ~max_element_size:1
+      ~init:"x"
+      ~step:(fun st _ -> if st = "x" then Some st else None)
+      ~key:Fun.id
+      ~resume:(fun k -> Some k)
+      ~candidates:(fun _ ~universe:_ _ -> [])
+      ()
+  in
+  let call t v =
+    [ Action.inv ~tid:(tid t) ~oid:o ~fid:f (vi v);
+      Action.res ~tid:(tid t) ~oid:o ~fid:f (vi v) ]
+  in
+  let key acts = History.canonical_key (History.of_list acts) in
+  let op1 = call 1 0 in
+  (* an op0 whose key ends in '|', so the split point exists *)
+  let op0 =
+    match
+      List.find_opt
+        (fun v ->
+          let k = key (call 0 v) in
+          k.[String.length k - 1] = '|')
+        (List.init 1000 Fun.id)
+    with
+    | Some v -> call 0 v
+    | None -> Alcotest.fail "no op0 whose key ends in '|'"
+  in
+  let k0 = key op0 in
+  let state_b = "x|" ^ String.sub k0 0 (String.length k0 - 1) in
+  let unprefixed state window =
+    String.concat "|" [ "serve"; "gate"; state; key window ]
+  in
+  Alcotest.(check string) "the two pairs collide without length prefixes"
+    (unprefixed "x" (op0 @ op1))
+    (unprefixed state_b op1);
+  (* Feed each session the last action of its window with [window_max]
+     one short, so the overflow path computes the cached verdict. *)
+  let overflow ?cache state window =
+    let held = List.filteri (fun i _ -> i < List.length window - 1) window in
+    let s =
+      Session.of_snapshot_exact ~oid:o ~spec:gate
+        ~committed:(Option.get (Spec.resume gate state))
+        ~window:held
+        ~pending:[ (tid 1, f) ]
+        ~high_water:1 ~qpoints:0 ~era:0 ~ops:0 ~mode:Session.Accepting
+        ~last_active:0
+    in
+    let config = { small_config with window_max = List.length held } in
+    match
+      Session.feed ~config ~level:Proto.Full ?cache ~now:1 s
+        (List.nth window (List.length window - 1))
+    with
+    | Ok (s, _) -> Session.latched s <> None
+    | Error m -> Alcotest.fail m
+  in
+  let cache = Verdict_cache.create ~capacity:64 () in
+  check_bool "state x accepts its window" false
+    (overflow ~cache "x" (op0 @ op1));
+  check_bool "the other pair is still rejected with a shared cache" true
+    (overflow ~cache state_b op1);
+  check_bool "and without a cache" true (overflow state_b op1);
+  Alcotest.(check int) "two verdicts stored" 2 (Verdict_cache.size cache)
+
 let test_pending_cap_rejects_stuck_streams () =
   let core = mk () in
   let invs =
@@ -667,6 +740,8 @@ let () =
             test_overflow_desyncs_after_final_verdict;
           t "overflow still catches violations"
             test_overflow_still_catches_violations;
+          t "overflow cache key is injective"
+            test_overflow_cache_key_is_injective;
           t "pending cap rejects stuck streams"
             test_pending_cap_rejects_stuck_streams;
         ] );
